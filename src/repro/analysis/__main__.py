@@ -86,7 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     plans_p = sub.add_parser(
         "check-plans",
         help="statically verify collective plan sets (RA3xx)")
-    plans_p.add_argument("--kernel", choices=("ssc", "ssc25d", "summa"),
+    from repro.kernels import KERNELS
+
+    plans_p.add_argument("--kernel", choices=sorted(KERNELS),
                          help="restrict to one kernel workload")
     plans_p.add_argument("--n", type=int,
                          help="matrix dimension of the workload")
@@ -166,9 +168,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def _signatures_from_args(args):
     """Workload signatures selected by the check-plans flags (None = default)."""
-    from repro.tune.signature import (signature_for_ssc, signature_for_ssc25d,
-                                      signature_for_summa)
-
     if args.signature:
         from repro.analysis.schedule import signature_from_key
 
@@ -179,11 +178,12 @@ def _signatures_from_args(args):
         return None  # the default table1/table2 quick population
     if args.n is None:
         raise ValueError("--kernel requires --n")
-    if args.kernel == "ssc":
-        return [signature_for_ssc(args.p, args.n)]
-    if args.kernel == "summa":
-        return [signature_for_summa(args.p, args.n)]
-    return [signature_for_ssc25d(args.p, args.c, args.n)]
+    from repro.kernels import KERNELS
+    from repro.tune.signature import signature_for
+
+    spec = KERNELS[args.kernel]
+    shape = (args.p, args.c)[:len(spec.shape_flags)]
+    return [signature_for(args.kernel, spec.mesh_shape(*shape), args.n)]
 
 
 if __name__ == "__main__":

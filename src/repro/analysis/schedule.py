@@ -546,27 +546,6 @@ class PlanCheckReport:
         )
 
 
-def _population_for(candidate, n: int) -> set:
-    """``(verb, comm_size, root, n_elems, itemsize)`` ops of one candidate."""
-    if candidate.kernel == "ssc":
-        from repro.kernels.symmsquarecube import ssc_plan_population
-
-        return ssc_plan_population(candidate.mesh[0], n,
-                                   algorithm=candidate.algorithm,
-                                   n_dup=candidate.n_dup)
-    if candidate.kernel == "summa":
-        from repro.dense.summa import summa_plan_population
-
-        return set(summa_plan_population(candidate.mesh[0], n,
-                                         algorithm=candidate.algorithm,
-                                         colors=candidate.n_dup,
-                                         depth=candidate.depth))
-    from repro.kernels.ssc25d import ssc25d_plan_population
-
-    q, _q, c = candidate.mesh
-    return ssc25d_plan_population(q, c, n, n_dup=candidate.n_dup)
-
-
 def check_plans(signatures=None, *, params: NetworkParams | None = None,
                 machine=None, pessimism_warnings: bool = True,
                 ) -> PlanCheckReport:
@@ -575,17 +554,18 @@ def check_plans(signatures=None, *, params: NetworkParams | None = None,
     For each signature, the tune candidate enumeration supplies the
     configurations a tuned run may pick (algorithm variant, ``N_DUP``,
     mesh factorization, collective override); each candidate's kernel
-    describes its collective-op population
-    (:func:`~repro.kernels.symmsquarecube.ssc_plan_population` /
-    :func:`~repro.kernels.ssc25d.ssc25d_plan_population`); the protocol
-    selectors map each op to a generator under the candidate's effective
-    parameters; and every distinct resulting plan set is verified once.
-    2.5D candidates additionally verify their Cannon shift itineraries.
+    describes its collective-op population (``KernelSpec.population``); the
+    protocol selectors map each op to a generator under the candidate's
+    effective parameters; and every distinct resulting plan set is verified
+    once.  Kernels add their own static checks through
+    ``KernelSpec.static_checks`` (2.5D: the Cannon shift itineraries;
+    SUMMA: the color-to-lane claims, RA308).
 
     ``signatures=None`` walks the default population: the table1/table2
     quick workloads (the acceptance gate).  ``pessimism_warnings=False``
     drops RA305 warnings from the report (they are advisory).
     """
+    from repro.kernels import KERNELS
     from repro.tune.candidates import apply_collective, enumerate_candidates
 
     if signatures is None:
@@ -593,11 +573,12 @@ def check_plans(signatures=None, *, params: NetworkParams | None = None,
     report = PlanCheckReport()
     seen_sets: set[tuple] = set()
     seen_selectors: set[tuple] = set()
-    seen_cannon: set[tuple] = set()
+    seen_extra: set[tuple] = set()
     seen_cand: set[tuple] = set()
     base = params or NetworkParams()
     for sig in signatures:
         report.workloads.append(sig.key)
+        spec = KERNELS[sig.kernel]
         for cand in enumerate_candidates(sig, machine=machine):
             # PPN moves ranks across nodes but never changes a schedule;
             # dedupe so the walk is the distinct plan-shaping configs.
@@ -609,7 +590,7 @@ def check_plans(signatures=None, *, params: NetworkParams | None = None,
             report.candidates += 1
             eff = apply_collective(base, cand.collective)
             for verb, size, root, n_elems, itemsize in sorted(
-                    _population_for(cand, sig.n)):
+                    set(spec.population(cand, sig.n))):
                 sel_key = (verb, size, n_elems, itemsize,
                            eff.long_message_threshold)
                 if sel_key not in seen_selectors:
@@ -625,32 +606,10 @@ def check_plans(signatures=None, *, params: NetworkParams | None = None,
                 report.plan_sets += 1
                 report.findings.extend(verify_plan_set(
                     build_plan_set(*set_key)))
-            if cand.kernel == "ssc25d":
-                q, _q, c = cand.mesh
-                steps = q // c
-                for k in range(c):
-                    ckey = (q, sig.n, steps, k * steps)
-                    if ckey in seen_cannon:
-                        continue
-                    seen_cannon.add(ckey)
-                    report.cannon_checks += 1
-                    report.findings.extend(
-                        verify_cannon_shift_plans(*ckey))
-            if cand.kernel == "summa":
-                from repro.dense.summa import summa_channel_claims
-
-                # Colored candidates run on a fabric widened to their
-                # color count (run_summa/simulate_candidate bump
-                # num_channels the same way).
-                nch = max(base.num_channels, cand.n_dup)
-                claims = summa_channel_claims(
-                    cand.mesh[0], algorithm=cand.algorithm,
-                    colors=cand.n_dup, depth=cand.depth)
-                report.channel_checks += 1
-                report.findings.extend(verify_channel_claims(
-                    claims, nch,
-                    f"summa[{cand.algorithm},p={cand.mesh[0]},"
-                    f"colors={cand.n_dup},depth={cand.depth}]"))
+            for counter, findings in spec.static_checks(cand, sig.n, base,
+                                                        seen_extra):
+                setattr(report, counter, getattr(report, counter) + 1)
+                report.findings.extend(findings)
     if not pessimism_warnings:
         report.findings = [f for f in report.findings if f.check != "RA305"]
     report.findings.sort(key=lambda f: (f.site or "", f.check))
@@ -685,16 +644,9 @@ def signature_from_key(key: str):
         raise ValueError(
             f"signature key {key!r}: mesh {mesh_s!r} does not factor "
             f"{ranks} ranks")
-    from repro.tune.signature import (signature_for_ssc, signature_for_ssc25d,
-                                      signature_for_summa)
+    from repro.tune.signature import signature_for
 
-    if kernel == "ssc":
-        return signature_for_ssc(mesh[0], n, ppn=ppn, placement=placement)
-    if kernel == "ssc25d":
-        return signature_for_ssc25d(mesh[0], mesh[2], n, ppn=ppn)
-    if kernel == "summa":
-        return signature_for_summa(mesh[0], n, ppn=ppn)
-    raise ValueError(f"signature key {key!r}: unknown kernel {kernel!r}")
+    return signature_for(kernel, mesh, n, ppn=ppn, placement=placement)
 
 
 def default_signatures(*, params=None, machine=None):

@@ -31,21 +31,39 @@ import json
 import sys
 
 
+def _presets() -> dict:
+    """``workload -> (runner, options)``: what ``timeline``/``overlap`` trace
+    unless a flag overrides it — an overlapped variant of each kernel at a
+    size that shows the overlap."""
+    from repro import run_ssc, run_ssc25d, run_summa
+
+    return {
+        "ssc": (run_ssc, dict(algorithm="optimized", n=480, n_dup=2)),
+        "ssc25d": (run_ssc25d, dict(n=480, n_dup=2)),
+        "summa": (run_summa, dict(algorithm="streaming", n=1024)),
+    }
+
+
 def _add_workload_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workload", choices=("ssc", "summa"), default="summa",
+    from repro.kernels import KERNELS
+
+    p.add_argument("--workload", choices=sorted(KERNELS), default="summa",
                    help="kernel to run under tracing (default: summa)")
     p.add_argument("--algorithm", default=None,
                    help="variant: ssc original/baseline/optimized, summa "
                         "plain/streaming/colored (defaults: optimized, "
                         "streaming)")
-    p.add_argument("--p", type=int, default=4, help="mesh side (default 4)")
+    p.add_argument("--p", type=int, default=4,
+                   help="mesh side (q for ssc25d; default 4)")
+    p.add_argument("--c", type=int, default=2,
+                   help="2.5D replication factor (ssc25d; default 2)")
     p.add_argument("--n", type=int, default=None,
                    help="matrix dimension (defaults: ssc 480, summa 1024)")
-    p.add_argument("--n-dup", type=int, default=2, dest="n_dup",
+    p.add_argument("--n-dup", type=int, default=None, dest="n_dup",
                    help="SSC pipeline duplicates (default 2)")
-    p.add_argument("--colors", type=int, default=2,
+    p.add_argument("--colors", type=int, default=None,
                    help="colored-SUMMA lane count (default 2)")
-    p.add_argument("--depth", type=int, default=2,
+    p.add_argument("--depth", type=int, default=None,
                    help="pipelined-SUMMA window depth (default 2)")
 
 
@@ -57,25 +75,17 @@ def _add_format_option(p: argparse.ArgumentParser) -> None:
 def _run_workload(args):
     """Run the selected workload with tracing; return its OverlapReport."""
     from repro.analytics.overlap import overlap_report_for_world
+    from repro.kernels import KERNELS
 
-    if args.workload == "ssc":
-        from repro.kernels.symmsquarecube import run_ssc
-
-        algorithm = args.algorithm or "optimized"
-        n = args.n or 480
-        res = run_ssc(args.p, n, algorithm, n_dup=args.n_dup, iterations=1,
-                      trace=True)
-    else:
-        from repro.dense.summa import run_summa
-
-        algorithm = args.algorithm or "streaming"
-        n = args.n or 1024
-        kwargs = {}
-        if algorithm == "colored":
-            kwargs["colors"] = args.colors
-        if algorithm in ("streaming", "colored"):
-            kwargs["depth"] = args.depth
-        res = run_summa(args.p, n, algorithm=algorithm, trace=True, **kwargs)
+    runner, options = _presets()[args.workload]
+    flags = {f: getattr(args, f)
+             for f in ("algorithm", "n", "n_dup", "colors", "depth")}
+    options.update({f: v for f, v in flags.items() if v is not None})
+    shape = (args.p, args.c)[:len(KERNELS[args.workload].shape_flags)]
+    try:
+        res = runner(*shape, options.pop("n"), trace=True, **options)
+    except TypeError as exc:  # a knob flag this kernel's runner lacks
+        raise ValueError(f"--workload {args.workload}: {exc}") from None
     return overlap_report_for_world(res.world)
 
 

@@ -148,7 +148,6 @@ def fit_fabric_constants(
     tolerance: float = 1e-6,
     fd_step: float = 1e-4,
     machine=None,
-    solver: str = "auto",
 ) -> FitResult:
     """Fit ``fields`` of :class:`NetworkParams` to the observations.
 
@@ -190,8 +189,7 @@ def fit_fabric_constants(
         out = []
         for obs in observations:
             out.append(
-                replay_kernel_grid(obs.recording, points, machine=machine,
-                                   solver=solver)
+                replay_kernel_grid(obs.recording, points, machine=machine)
             )
             result.replays += len(points)
         return out
@@ -352,13 +350,12 @@ class DriftCase:
     """One pinned (workload, analytic estimate, tolerance band) triple."""
 
     name: str
-    kind: str        #: "ssc" or "summa"
+    kind: str        #: a :data:`repro.kernels.KERNELS` key
     p: int
     n: int
     algorithm: str
     band: float      #: max allowed |analytic/simulated - 1|
-    n_dup: int = 1
-    colors: int = 1
+    n_dup: int = 1   #: N_DUP (SSC) / color count (SUMMA), as in ``Candidate``
     depth: int = 1
 
 
@@ -374,38 +371,24 @@ DRIFT_CASES = (
     DriftCase("summa-plain", "summa", 4, 2048, "plain", 0.55),
     DriftCase("summa-stream-d4", "summa", 4, 2048, "streaming", 0.10,
               depth=4),
-    DriftCase("summa-col4-d4", "summa", 4, 2048, "colored", 0.15, colors=4,
+    DriftCase("summa-col4-d4", "summa", 4, 2048, "colored", 0.15, n_dup=4,
               depth=4),
 )
 
 
 def _run_drift_case(case: DriftCase, params: NetworkParams) -> tuple[float, float]:
     """(simulated, analytic) elapsed seconds for one case."""
-    from repro.netmodel.analytic import estimate_ssc_time, estimate_summa_time
+    from repro.kernels import KERNELS
+    from repro.tune.candidates import Candidate
+    from repro.tune.search import model_time, simulate_candidate
+    from repro.tune.signature import signature_for
 
-    if case.kind == "ssc":
-        from repro.kernels.symmsquarecube import run_ssc
-
-        sim = run_ssc(case.p, case.n, case.algorithm, n_dup=case.n_dup,
-                      iterations=1, params=params).elapsed
-        est = estimate_ssc_time(case.n, case.p, case.algorithm, case.n_dup,
-                                ppn=1, params=params)
-    elif case.kind == "summa":
-        from repro.dense.summa import run_summa
-
-        kwargs = {}
-        if case.algorithm == "colored":
-            kwargs["colors"] = case.colors
-        if case.algorithm in ("streaming", "colored"):
-            kwargs["depth"] = case.depth
-        sim = run_summa(case.p, case.n, algorithm=case.algorithm,
-                        **kwargs).elapsed
-        est = estimate_summa_time(case.n, case.p, case.algorithm,
-                                  colors=case.colors, depth=case.depth,
-                                  ppn=1, params=params)
-    else:
-        raise ValueError(f"unknown drift case kind: {case.kind}")
-    return sim, est
+    mesh = KERNELS[case.kind].mesh_shape(case.p)
+    cand = Candidate(case.kind, case.algorithm, mesh, case.n_dup, ppn=1,
+                     depth=case.depth)
+    sig = signature_for(case.kind, mesh, case.n, params=params)
+    sim, _world = simulate_candidate(sig, cand, params)
+    return sim, model_time(sig, cand, params)
 
 
 def model_drift(

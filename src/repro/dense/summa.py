@@ -41,12 +41,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dense.distribution import block_dim, block_range
+from repro.dense.distribution import block_dim
 from repro.dense.mesh import Mesh2D
-from repro.mpi.world import RankEnv, World
-from repro.netmodel import MachineParams, NetworkParams, block_placement
-from repro.sim.engine import DeadlineExceeded
-from repro.tune.validity import SUMMA_ALGORITHMS, validate_summa_config
+from repro.kernels.driver import (
+    KernelResult,
+    KernelSpec,
+    register,
+    run_kernel,
+)
+from repro.mpi.world import RankEnv
+from repro.netmodel import MachineParams, NetworkParams
+from repro.netmodel.analytic import estimate_summa_time
+from repro.sim.faults import FaultPlan
+from repro.tune.candidates import SUMMA_DEPTH_CHOICES, Candidate
+from repro.tune.validity import (
+    SUMMA_ALGORITHMS,
+    SUMMA_COLOR_CHOICES,
+    validate_summa_config,
+)
 
 __all__ = [
     "SUMMA_ALGORITHMS",
@@ -193,18 +205,95 @@ def summa_channel_claims(p: int, algorithm: str = "plain", colors: int = 1,
     return [(c, c) for c in range(colors)]
 
 
+def _summa_call(env, mesh, n, cand, real, a_blk=None, b_blk=None):
+    """The generator of one SUMMA product under ``cand``."""
+    if cand.algorithm == "plain":
+        return summa_program(env, mesh, n, a_blk, b_blk)
+    return summa_pipelined_program(env, mesh, n, a_blk, b_blk, cand.depth)
+
+
+def _summa_axes(sig):
+    """Variant x colors x window depth on the requested ``p x p`` mesh."""
+    for algorithm in SUMMA_ALGORITHMS:
+        colors_choices = SUMMA_COLOR_CHOICES if algorithm == "colored" else (1,)
+        depths = (1,) if algorithm == "plain" else SUMMA_DEPTH_CHOICES
+        for colors in colors_choices:
+            for depth in depths:
+                yield algorithm, sig.mesh, colors, depth
+
+
+def _lanes(cand) -> int:
+    """Fabric channels ``cand`` pins traffic to: one per color."""
+    return cand.n_dup if cand.algorithm == "colored" else 1
+
+
+def _channel_checks(cand, n, params, seen):
+    """Static check beyond the collectives: RA308 over the color->lane claims."""
+    from repro.analysis.schedule import verify_channel_claims
+
+    p = cand.mesh[0]
+    claims = summa_channel_claims(p, algorithm=cand.algorithm,
+                                  colors=cand.n_dup, depth=cand.depth)
+    # Colored candidates run on a fabric widened to their color count
+    # (repro.tune.candidates.effective_params).
+    yield "channel_checks", verify_channel_claims(
+        claims, max(params.num_channels, _lanes(cand)),
+        f"summa[{cand.algorithm},p={p},colors={cand.n_dup},"
+        f"depth={cand.depth}]")
+
+
 @dataclass
-class SummaResult:
+class SummaResult(KernelResult):
     """Outcome of :func:`run_summa`."""
 
-    c: np.ndarray | None
-    elapsed: float
-    world: World
-    algorithm: str = "plain"
-    colors: int = 1
-    depth: int = 1
-    recording: "GraphRecorder | None" = None  # event graph when record=True  # noqa: F821
-    tuning: "TuningRecord | None" = None  # decision trace when tune= given  # noqa: F821
+    c: np.ndarray | None = None    # assembled product (real mode)
+
+    @property
+    def algorithm(self) -> str:
+        return self.config.algorithm
+
+    @property
+    def colors(self) -> int:
+        return self.config.n_dup
+
+    @property
+    def depth(self) -> int:
+        return self.config.depth
+
+
+SUMMA = register(KernelSpec(
+    name="summa",
+    shape_flags=("p",),
+    mesh_shape=lambda p: (p, p, 1),
+    validate=lambda cand, n, num_channels: validate_summa_config(
+        cand.mesh[0], n, cand.algorithm, cand.n_dup, cand.depth, cand.ppn,
+        num_channels=num_channels),
+    make_mesh=lambda world, cand: (
+        Mesh2D(world, cand.mesh[0], n_dup=cand.n_dup,
+               channels=tuple(range(cand.n_dup)))
+        if cand.algorithm == "colored" else Mesh2D(world, cand.mesh[0])),
+    call=_summa_call,
+    outputs=("c",),
+    result_type=SummaResult,
+    flops=lambda n: 2.0 * float(n) ** 3,
+    describe=lambda cand, n: (
+        f"run_summa(p={cand.mesh[0]}, n={n}, {cand.algorithm!r})"),
+    population=lambda cand, n: summa_plan_population(
+        cand.mesh[0], n, algorithm=cand.algorithm, colors=cand.n_dup,
+        depth=cand.depth),
+    axes=_summa_axes,
+    # The textbook blocking variant is the tuning baseline.
+    default=lambda sig: Candidate(kernel="summa", algorithm="plain",
+                                  mesh=sig.mesh, n_dup=1, ppn=sig.ppn),
+    estimate=lambda cand, n, params, machine: estimate_summa_time(
+        n, cand.mesh[0], cand.algorithm, cand.n_dup, cand.depth, cand.ppn,
+        collective=cand.collective, params=params, machine=machine),
+    # One product per call, back to back: a leading barrier would put a
+    # synchronization the textbook algorithm does not have on the clock.
+    barrier=False,
+    lanes=_lanes,
+    static_checks=_channel_checks,
+))
 
 
 def run_summa(
@@ -217,117 +306,42 @@ def run_summa(
     colors: int | None = None,
     depth: int | None = None,
     ppn: int = 1,
+    iterations: int = 1,
     params: NetworkParams | None = None,
     machine: MachineParams | None = None,
+    placement: str = "block",
+    trace: bool = False,
+    faults: FaultPlan | None = None,
+    verify: bool = False,
+    verify_plans: bool = False,
     tune=None,
     tune_db=None,
     deadline: float | None = None,
     record: bool = False,
-    trace: bool = False,
 ) -> SummaResult:
-    """Run one SUMMA product on a fresh world; assemble C in real mode.
+    """Run SUMMA products on a fresh world; assemble C in real mode.
 
     ``algorithm`` selects the variant (see the module docstring);
     ``colors`` defaults to 2 for ``colored`` and is fixed at 1 otherwise;
     ``depth`` defaults to a ``min(2, p)``-panel window for the pipelined
     variants.  When ``params`` is omitted the colored variant builds a
     fabric with ``num_channels = colors``; an explicit ``params`` must
-    already provide enough lanes.  ``deadline`` bounds the run at that
-    virtual time and raises :class:`DeadlineExceeded` (tuner early
-    termination); ``record=True`` captures the event dependency graph
-    (colored runs record but are marked invalid — multi-channel flows are
-    not replayable); ``trace=True`` collects activity spans and per-flow
-    link occupancy, the inputs of :mod:`repro.analytics`.
+    already provide enough lanes.  ``record=True`` on a colored run records
+    but marks the graph invalid (multi-channel flows are not replayable).
 
-    ``tune`` hands the variant/colors/depth/PPN choice to :mod:`repro.tune`:
-    a :class:`~repro.tune.tuner.TuningPolicy` string builds a private
-    :class:`~repro.tune.tuner.Tuner`, while a ``Tuner`` or
-    :class:`~repro.tune.service.TuningService` instance is used directly
-    (many runs then share one warm cache and coalesced searches).  The
-    decision trace is attached as ``SummaResult.tuning``.  ``tune_db`` is
-    an optional :class:`~repro.tune.db.TuningDB` for warm starts (policy
-    strings only — a tuner object brings its own db).
+    The keyword options from ``ppn`` on are the shared runner options of
+    :func:`repro.kernels.run_kernel`.  Under ``tune`` the tuner picks the
+    variant, colors, depth and PPN.
     """
-    if tune is not None:
-        from repro.tune.candidates import apply_collective
-        from repro.tune.tuner import Tuner
-
-        tuner = (Tuner(db=tune_db, policy=tune) if isinstance(tune, str)
-                 else tune)
-        decision = tuner.autotune_summa(p, n, ppn=ppn, params=params,
-                                        machine=machine)
-        best = decision.best
-        eff = apply_collective(params or NetworkParams(), best.collective)
-        if best.algorithm == "colored" and eff.num_channels < best.n_dup:
-            eff = eff.replace(num_channels=best.n_dup)
-        result = run_summa(
-            p, n, a, b, algorithm=best.algorithm, colors=best.n_dup,
-            depth=best.depth, ppn=best.ppn, params=eff, machine=machine,
-            deadline=deadline, record=record,
-        )
-        result.tuning = decision
-        return result
     if colors is None:
         colors = 2 if algorithm == "colored" else 1
     if depth is None:
         depth = 1 if algorithm == "plain" else min(2, p)
-    if params is None and algorithm == "colored":
-        params = NetworkParams(num_channels=colors)
-    validate_summa_config(
-        p, n, algorithm, colors, depth, max(ppn, 1),
-        num_channels=None if params is None else params.num_channels,
+    cand = Candidate("summa", algorithm, SUMMA.mesh_shape(p), colors,
+                     max(ppn, 1), depth=depth)
+    return run_kernel(
+        SUMMA, cand, n, (a, b), iterations=iterations, params=params,
+        machine=machine, placement=placement, trace=trace, faults=faults,
+        verify=verify, verify_plans=verify_plans, tune=tune, tune_db=tune_db,
+        deadline=deadline, record=record,
     )
-    if (a is None) != (b is None):
-        raise ValueError("pass both a and b, or neither")
-    world = World(block_placement(p * p, 1 if ppn < 1 else ppn), params=params,
-                  machine=machine, record=record, trace=trace)
-    if algorithm == "colored":
-        mesh = Mesh2D(world, p, n_dup=colors, channels=tuple(range(colors)))
-    else:
-        mesh = Mesh2D(world, p)
-
-    def program(env: RankEnv):
-        i, j = mesh.coords_of(env.rank)
-        if a is not None:
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            a_blk = np.ascontiguousarray(a[rlo:rhi, clo:chi])
-            b_blk = np.ascontiguousarray(b[rlo:rhi, clo:chi])
-        else:
-            a_blk = b_blk = None
-        t0 = env.now
-        env.mark("t0", 0)
-        if algorithm == "plain":
-            c_blk = yield from summa_program(env, mesh, n, a_blk, b_blk)
-        else:
-            c_blk = yield from summa_pipelined_program(env, mesh, n, a_blk,
-                                                       b_blk, depth)
-        env.mark("t1", 0)
-        return (env.now - t0, c_blk)
-
-    world.spawn_all(program, ranks=range(p * p))
-    world.run(until=deadline)
-    if deadline is not None and world.unfinished():
-        raise DeadlineExceeded(
-            f"run_summa(p={p}, n={n}, {algorithm!r}) exceeded deadline "
-            f"{deadline:.6g}s: {len(world.unfinished())} rank program(s) "
-            f"unfinished"
-        )
-    if world.recorder is not None:
-        world.recorder.meta.update(kernel="summa", ranks=p * p, iterations=1)
-    outs = world.results()
-    # Per-call kernel time: max across ranks, the metric the tuner compares
-    # (Engine.run(until=) pins the world clock to the deadline, so the
-    # engine's final time is not usable under bounded runs).
-    elapsed = max(outs[rank][0] for rank in range(p * p))
-    c = None
-    if a is not None:
-        c = np.zeros((n, n))
-        for rank in range(p * p):
-            i, j = mesh.coords_of(rank)
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            c[rlo:rhi, clo:chi] = outs[rank][1]
-    return SummaResult(c=c, elapsed=elapsed, world=world,
-                       algorithm=algorithm, colors=colors, depth=depth,
-                       recording=world.recorder)

@@ -16,8 +16,19 @@ mesh — the communication-dominated core of density-matrix purification.
   multiplication with each collective overlapped with itself.
 
 :func:`run_ssc` is the convenience runner used by tests, examples and the
-benchmark harness.
+benchmark harness.  It, :func:`run_ssc25d` and
+:func:`repro.dense.run_summa` are thin wrappers over the one shared
+harness :func:`run_kernel`; each kernel describes itself with a
+:class:`KernelSpec` in the :data:`KERNELS` registry, which is what the
+tuner, the static verifier and the CLIs consult (``docs/tuning.md``).
 """
+
+from repro.kernels.driver import (
+    KERNELS,
+    KernelResult,
+    KernelSpec,
+    run_kernel,
+)
 
 from repro.kernels.symmsquarecube import (
     ssc_original_program,
@@ -28,8 +39,13 @@ from repro.kernels.symmsquarecube import (
     SSCResult,
 )
 from repro.kernels.ssc25d import ssc25d_program, run_ssc25d
+import repro.dense.summa  # noqa: F401,E402  (registers "summa" in KERNELS)
 
 __all__ = [
+    "KERNELS",
+    "KernelResult",
+    "KernelSpec",
+    "run_kernel",
     "ssc_original_program",
     "ssc_baseline_program",
     "ssc_optimized_program",

@@ -19,18 +19,24 @@ cross-operation pipelining like Algorithm 5, so the gains are smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.dense.cannon import cannon_program
-from repro.dense.distribution import block_dim, block_range, part_slices
+from repro.dense.distribution import block_dim, part_slices
 from repro.dense.mesh import Mesh3D
+from repro.kernels.driver import KernelSpec, register, run_kernel
+from repro.kernels.symmsquarecube import (
+    SSCResult,
+    check_symmetric,
+    pipeline_part_sizes,
+    ssc_flops,
+)
 from repro.mpi.requests import waitall
-from repro.mpi.world import RankEnv, World
-from repro.kernels.symmsquarecube import ssc_flops
-from repro.netmodel import MachineParams, NetworkParams, block_placement
-from repro.sim.engine import DeadlineExceeded
+from repro.mpi.world import RankEnv
+from repro.netmodel import MachineParams, NetworkParams
+from repro.netmodel.analytic import estimate_ssc25d_time
+from repro.sim.faults import FaultPlan
+from repro.tune.candidates import Candidate, meshes_25d, n_dup_choices
 from repro.tune.validity import validate_ssc25d_config
 from repro.util import check_positive
 
@@ -153,38 +159,61 @@ def ssc25d_plan_population(q: int, c: int, n: int,
     and are covered separately by
     :func:`repro.analysis.schedule.verify_cannon_shift_plans`.
     """
-    dims = sorted({block_dim(x, n, q) for x in range(q)})
-    blocks = sorted({a * b for a in dims for b in dims})
-    sizes = sorted({hi - lo for blk in blocks
-                    for lo, hi in part_slices(blk, n_dup)})
     pop: set[tuple] = {("barrier", q * q * c, 0, 0, 1)}
-    for sz in sizes:
+    for sz in pipeline_part_sizes(n, q, n_dup):
         pop.add(("bcast", c, 0, sz, 8))
         pop.add(("allreduce", c, 0, sz, 8))
         pop.add(("reduce", c, 0, sz, 8))
     return pop
 
 
-@dataclass
-class SSC25DResult:
+def _cannon_checks(cand, n, params, seen):
+    """Static checks beyond the collectives: the layers' Cannon itineraries."""
+    from repro.analysis.schedule import verify_cannon_shift_plans
+
+    q, _q, c = cand.mesh
+    steps = q // c
+    for k in range(c):
+        key = (q, n, steps, k * steps)
+        if key not in seen:
+            seen.add(key)
+            yield "cannon_checks", verify_cannon_shift_plans(*key)
+
+
+class SSC25DResult(SSCResult):
     """Outcome of :func:`run_ssc25d`."""
 
-    d2: np.ndarray | None
-    d3: np.ndarray | None
-    times: list[float]
-    n: int
-    world: World
-    mesh: Mesh3D
-    tuning: "TuningRecord | None" = None  # decision trace when run with tune=  # noqa: F821
-    recording: "GraphRecorder | None" = None  # event graph when run with record=True  # noqa: F821
 
-    @property
-    def elapsed(self) -> float:
-        return sum(self.times) / len(self.times)
-
-    @property
-    def tflops(self) -> float:
-        return ssc_flops(self.n) / self.elapsed / 1e12
+SSC25D = register(KernelSpec(
+    name="ssc25d",
+    shape_flags=("q", "c"),
+    mesh_shape=lambda q, c: (q, q, c),
+    validate=lambda cand, n, num_channels: validate_ssc25d_config(
+        cand.mesh[0], cand.mesh[2], n, cand.n_dup, cand.ppn),
+    make_mesh=lambda world, cand: Mesh3D(world, *cand.mesh, n_dup=cand.n_dup),
+    call=lambda env, mesh, n, cand, real, d_blk=None: ssc25d_program(
+        env, mesh, n, d_blk, real, cand.n_dup),
+    outputs=("d2", "d3"),
+    result_type=SSC25DResult,
+    flops=ssc_flops,
+    describe=lambda cand, n: (
+        f"run_ssc25d(q={cand.mesh[0]}, c={cand.mesh[2]}, n={n})"),
+    population=lambda cand, n: ssc25d_plan_population(
+        cand.mesh[0], cand.mesh[2], n, n_dup=cand.n_dup),
+    # The replication factor is a tuner axis: any q' x q' x c' factorization
+    # of the signature's rank count is a candidate.
+    axes=lambda sig: (("ssc25d", mesh, n_dup, 1)
+                      for mesh in meshes_25d(sig.ranks)
+                      for n_dup in n_dup_choices()),
+    # Baseline: the requested mesh, each collective in one piece.
+    default=lambda sig: Candidate(kernel="ssc25d", algorithm="ssc25d",
+                                  mesh=sig.mesh, n_dup=1, ppn=sig.ppn),
+    estimate=lambda cand, n, params, machine: estimate_ssc25d_time(
+        n, cand.mesh[0], cand.mesh[2], cand.n_dup, cand.ppn,
+        collective=cand.collective, params=params, machine=machine),
+    check_data=check_symmetric,
+    static_checks=_cannon_checks,
+))
 
 
 def run_ssc25d(
@@ -198,96 +227,28 @@ def run_ssc25d(
     iterations: int = 1,
     params: NetworkParams | None = None,
     machine: MachineParams | None = None,
+    placement: str = "block",
+    trace: bool = False,
+    faults: FaultPlan | None = None,
     verify: bool = False,
     verify_plans: bool = False,
     tune=None,
     tune_db=None,
     deadline: float | None = None,
     record: bool = False,
-    solver: str = "scalar",
 ) -> SSC25DResult:
     """Run Algorithm 6 on a fresh ``q x q x c`` world (cf. :func:`run_ssc`).
 
-    ``tune`` / ``tune_db`` / ``deadline`` mirror :func:`repro.kernels.run_ssc`
-    (``tune`` accepts a policy string or a ``Tuner``/``TuningService``
-    object): the tuner may move to any ``q' x q' x c'`` factorization with
-    the same rank count and picks ``N_DUP``, PPN and the collective
-    schedule; the record lands on ``SSC25DResult.tuning``.
+    The keyword options after ``n_dup`` are the shared runner options of
+    :func:`repro.kernels.run_kernel`.  Under ``tune`` the tuner may move to
+    any ``q' x q' x c'`` factorization with the same rank count and picks
+    ``N_DUP``, PPN and the collective schedule.
     """
-    check_positive("iterations", iterations)
-    validate_ssc25d_config(q, c, n, n_dup, ppn=max(ppn, 1))
-    if tune is not None:
-        from repro.tune.candidates import apply_collective
-        from repro.tune.tuner import Tuner
-
-        tuner = (Tuner(db=tune_db, policy=tune) if isinstance(tune, str)
-                 else tune)
-        decision = tuner.autotune_ssc25d(q, c, n, ppn=ppn, params=params,
-                                         machine=machine)
-        best = decision.best
-        bq, _bq, bc = best.mesh
-        eff = apply_collective(params or NetworkParams(), best.collective)
-        result = run_ssc25d(
-            bq, bc, n, d, n_dup=best.n_dup, ppn=best.ppn,
-            iterations=iterations, params=eff, machine=machine, verify=verify,
-            verify_plans=verify_plans, deadline=deadline, record=record,
-            solver=solver,
-        )
-        result.tuning = decision
-        return result
-    real = d is not None
-    if real and not np.allclose(d, d.T):
-        raise ValueError("SymmSquareCube requires a symmetric input matrix")
-    world = World(block_placement(q * q * c, max(ppn, 1)), params=params,
-                  machine=machine, verify=verify, verify_plans=verify_plans,
-                  record=record, solver=solver)
-    mesh = Mesh3D(world, q, q, c, n_dup=max(n_dup, 1))
-
-    def program(env: RankEnv):
-        i, j, k = mesh.coords_of(env.rank)
-        d_blk = None
-        if real and k == 0:
-            rlo, rhi = block_range(i, n, q)
-            clo, chi = block_range(j, n, q)
-            d_blk = np.ascontiguousarray(d[rlo:rhi, clo:chi])
-        gv = env.view(mesh.global_comm)
-        times = []
-        result = None
-        for it in range(iterations):
-            yield from gv.barrier()
-            t0 = env.now
-            env.mark("t0", it)
-            result = yield from ssc25d_program(env, mesh, n, d_blk, real, n_dup)
-            env.mark("t1", it)
-            times.append(env.now - t0)
-        return (times, result)
-
-    world.spawn_all(program, ranks=range(q * q * c))
-    world.run(until=deadline)
-    if deadline is not None and world.unfinished():
-        raise DeadlineExceeded(
-            f"run_ssc25d(q={q}, c={c}, n={n}) exceeded deadline "
-            f"{deadline:.6g}s: {len(world.unfinished())} rank program(s) unfinished"
-        )
-    outs = world.results()
-    iter_times = [
-        max(outs[r][0][it] for r in range(q * q * c)) for it in range(iterations)
-    ]
-    d2 = d3 = None
-    if real:
-        d2 = np.zeros((n, n))
-        d3 = np.zeros((n, n))
-        for rank in range(q * q * c):
-            i, j, k = mesh.coords_of(rank)
-            if k != 0:
-                continue
-            blk2, blk3 = outs[rank][1]
-            rlo, rhi = block_range(i, n, q)
-            clo, chi = block_range(j, n, q)
-            d2[rlo:rhi, clo:chi] = blk2
-            d3[rlo:rhi, clo:chi] = blk3
-    if world.recorder is not None:
-        world.recorder.meta.update(kernel="ssc25d", ranks=q * q * c,
-                                   iterations=iterations)
-    return SSC25DResult(d2=d2, d3=d3, times=iter_times, n=n, world=world,
-                        mesh=mesh, recording=world.recorder)
+    cand = Candidate("ssc25d", "ssc25d", SSC25D.mesh_shape(q, c), n_dup,
+                     max(ppn, 1))
+    return run_kernel(
+        SSC25D, cand, n, (d,), iterations=iterations, params=params,
+        machine=machine, placement=placement, trace=trace, faults=faults,
+        verify=verify, verify_plans=verify_plans, tune=tune, tune_db=tune_db,
+        deadline=deadline, record=record,
+    )

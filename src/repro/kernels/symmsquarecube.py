@@ -30,26 +30,35 @@ part-by-part exactly as in the paper's listing.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dense.distribution import block_dim, block_range, part_slices
+from repro.dense.distribution import block_dim, part_slices
 from repro.dense.mesh import Mesh3D
+from repro.kernels.driver import (
+    KernelResult,
+    KernelSpec,
+    register,
+    run_kernel,
+)
 from repro.mpi.requests import waitall
-from repro.mpi.world import RankEnv, World
-from repro.netmodel import MachineParams, NetworkParams, block_placement
-from repro.netmodel.topology import round_robin_placement
-from repro.sim.engine import DeadlineExceeded
+from repro.mpi.world import RankEnv
+from repro.netmodel import MachineParams, NetworkParams
+from repro.netmodel.analytic import estimate_ssc_time
 from repro.sim.faults import FaultPlan
-from repro.sim.trace import SpanKind
-from repro.tune.validity import check_placement, validate_ssc_config
+from repro.tune.candidates import Candidate, n_dup_choices
+from repro.tune.validity import (
+    SSC_ALGORITHMS,
+    min_block_elems,
+    validate_ssc_config,
+)
 from repro.util import check_positive
 
 _TAG_D2 = 21
 _TAG_D3 = 22
 _TAG_TR = 23
-_TAG_FB = 24
 
 
 def ssc_flops(n: int) -> float:
@@ -429,32 +438,7 @@ def ssc_optimized_program(env: RankEnv, mesh: Mesh3D, n: int,
 
 
 # ---------------------------------------------------------------------------
-# graceful degradation under faults
-# ---------------------------------------------------------------------------
-
-
-def negotiate_fallback(env, gv, local_flag: bool):
-    """Generator: agree communicator-wide on a nonblocking->blocking fallback.
-
-    Ranks observe the fault state at slightly different virtual times, so a
-    purely local decision could split the mesh between Algorithm 5 and the
-    blocking baseline and deadlock.  Rank 0 gathers every rank's flag,
-    takes the OR, and distributes the verdict with 1-byte control messages
-    (a tiny, fully deterministic control round — its cost is modeled like
-    any other traffic).
-    """
-    flags = yield from gv.gather(data=bool(local_flag), nbytes=1, root=0)
-    if gv.rank == 0:
-        decision = any(flags)
-        for dst in range(1, gv.size):
-            yield from gv.send(dst, data=decision, nbytes=1, tag=_TAG_FB)
-        return decision
-    decision = yield from gv.recv(0, tag=_TAG_FB)
-    return bool(decision)
-
-
-# ---------------------------------------------------------------------------
-# convenience runner
+# kernel spec + convenience runner
 # ---------------------------------------------------------------------------
 
 _ALGORITHMS = {
@@ -462,6 +446,21 @@ _ALGORITHMS = {
     "baseline": ssc_baseline_program,
     "optimized": ssc_optimized_program,
 }
+
+
+def check_symmetric(d: np.ndarray) -> None:
+    """SymmSquareCube's one use of symmetry (step 2) needs ``d == d.T``."""
+    if not np.allclose(d, d.T):
+        raise ValueError("SymmSquareCube requires a symmetric input matrix")
+
+
+def pipeline_part_sizes(n: int, p: int, n_dup: int) -> list[int]:
+    """Distinct element counts of the ``n_dup`` contiguous parts of every
+    ``p``-way block product (``bi*bj``) of an ``n x n`` matrix, ascending."""
+    dims = sorted({block_dim(x, n, p) for x in range(p)})
+    blocks = sorted({a * b for a in dims for b in dims})
+    return sorted({hi - lo for blk in blocks
+                   for lo, hi in part_slices(blk, n_dup)})
 
 
 def ssc_plan_population(p: int, n: int, algorithm: str = "optimized",
@@ -479,13 +478,7 @@ def ssc_plan_population(p: int, n: int, algorithm: str = "optimized",
     the coordinate-derived roots), so verifying this population proves
     every plan the kernel can request.
     """
-    dims = sorted({block_dim(x, n, p) for x in range(p)})
-    blocks = sorted({a * b for a in dims for b in dims})
-    if algorithm == "optimized":
-        sizes = sorted({hi - lo for blk in blocks
-                        for lo, hi in part_slices(blk, n_dup)})
-    else:
-        sizes = blocks
+    sizes = pipeline_part_sizes(n, p, n_dup if algorithm == "optimized" else 1)
     pop: set[tuple] = {("barrier", p ** 3, 0, 0, 1)}
     for sz in sizes:
         for root in range(p):
@@ -494,29 +487,59 @@ def ssc_plan_population(p: int, n: int, algorithm: str = "optimized",
     return pop
 
 
+def _ssc_axes(sig):
+    """Algorithms 3-5 on the requested mesh; only Alg. 5 sweeps ``N_DUP``."""
+    for algorithm in SSC_ALGORITHMS:
+        for n_dup in (n_dup_choices() if algorithm == "optimized" else (1,)):
+            yield algorithm, sig.mesh, n_dup, 1
+
+
+def _ssc_default(sig) -> Candidate:
+    """Algorithm 5 with ``N_DUP = 4`` ("the results justify our choice of
+    using N_DUP = 4"), clamped by the validity rules for tiny blocks."""
+    n_dup = min(4, min_block_elems(sig.n, sig.mesh[0]))
+    return Candidate(kernel="ssc", algorithm="optimized", mesh=sig.mesh,
+                     n_dup=n_dup, ppn=sig.ppn)
+
+
 @dataclass
-class SSCResult:
-    """Outcome of :func:`run_ssc`."""
+class SSCResult(KernelResult):
+    """Outcome of :func:`run_ssc` (and, as :class:`~repro.kernels.ssc25d.SSC25DResult`,
+    of :func:`~repro.kernels.run_ssc25d`)."""
 
-    d2: np.ndarray | None          # assembled D^2 (real mode, last call)
-    d3: np.ndarray | None          # assembled D^3
-    times: list[float]             # per-call elapsed virtual seconds (max over ranks)
-    n: int                         # matrix dimension
-    world: World
-    mesh: Mesh3D
-    fallbacks: int = 0             # iterations that degraded to the blocking baseline
-    tuning: "TuningRecord | None" = None  # decision trace when run with tune=  # noqa: F821
-    recording: "GraphRecorder | None" = None  # event graph when run with record=True  # noqa: F821
+    d2: np.ndarray | None = None   # assembled D^2 (real mode, last call)
+    d3: np.ndarray | None = None   # assembled D^3
 
-    @property
-    def elapsed(self) -> float:
-        """Mean per-call time."""
-        return sum(self.times) / len(self.times)
 
-    @property
-    def tflops(self) -> float:
-        """Mean achieved TFlop/s of the kernel — the paper's reported metric."""
-        return ssc_flops(self.n) / self.elapsed / 1e12
+SSC = register(KernelSpec(
+    name="ssc",
+    shape_flags=("p",),
+    mesh_shape=lambda p: (p, p, p),
+    validate=lambda cand, n, num_channels: validate_ssc_config(
+        cand.mesh[0], n, cand.algorithm, cand.n_dup, cand.ppn),
+    make_mesh=lambda world, cand: Mesh3D(world, cand.mesh[0],
+                                         n_dup=cand.n_dup),
+    # Alg. 5's N_DUP is the mesh's duplicate count (make_mesh above).
+    call=lambda env, mesh, n, cand, real, d_blk=None: _ALGORITHMS[
+        cand.algorithm](env, mesh, n, d_blk, real),
+    outputs=("d2", "d3"),
+    result_type=SSCResult,
+    flops=ssc_flops,
+    describe=lambda cand, n: (
+        f"run_ssc(p={cand.mesh[0]}, n={n}, {cand.algorithm!r})"),
+    population=lambda cand, n: ssc_plan_population(
+        cand.mesh[0], n, algorithm=cand.algorithm, n_dup=cand.n_dup),
+    axes=_ssc_axes,
+    default=_ssc_default,
+    estimate=lambda cand, n, params, machine: estimate_ssc_time(
+        n, cand.mesh[0], cand.algorithm, cand.n_dup, cand.ppn,
+        collective=cand.collective, params=params, machine=machine),
+    check_data=check_symmetric,
+    # The duplicated communicators' independent channels are pointless on a
+    # throttled link, and the blocking schedule is the safer citizen.
+    degrade=lambda cand: (dataclasses.replace(cand, algorithm="baseline")
+                          if cand.algorithm == "optimized" else None),
+))
 
 
 def run_ssc(
@@ -539,149 +562,27 @@ def run_ssc(
     tune_db=None,
     deadline: float | None = None,
     record: bool = False,
-    solver: str = "scalar",
 ) -> SSCResult:
     """Run ``iterations`` SymmSquareCube calls on a fresh ``p^3`` world.
 
     ``algorithm`` is ``"original"`` (Alg. 3), ``"baseline"`` (Alg. 4) or
-    ``"optimized"`` (Alg. 5 with ``n_dup`` pipeline stages).  ``placement``
-    selects the rank-to-node map: ``"block"`` is the paper's natural
-    assignment (consecutive ranks share a node, §V-D); ``"round_robin"``
-    scatters consecutive ranks across nodes.  Real mode
+    ``"optimized"`` (Alg. 5 with ``n_dup`` pipeline stages).  Real mode
     (``d`` given, must be symmetric) verifies nothing itself but returns the
     assembled ``D^2``/``D^3`` for the caller to check; modeled mode times the
     kernel at full paper scale without allocating matrix data.  Each call is
     preceded by a barrier and timed as the max across ranks.
 
-    ``verify_plans`` is the opt-in static-verification debug gate: every
-    collective plan set is proven deadlock-free / zero-copy sound before
-    its first execution, and any RA3xx error finding raises
-    :class:`~repro.analysis.schedule.PlanVerificationError` (see
-    :mod:`repro.analysis.schedule`).
-
-    ``faults`` attaches a :class:`~repro.sim.faults.FaultPlan`.  Under an
-    active plan the optimized algorithm degrades gracefully: before each
-    iteration the ranks agree (see :func:`negotiate_fallback`) on whether a
-    link-degradation window is active, and if so run the blocking baseline
-    for that iteration instead of the N_DUP nonblocking pipeline — the
-    duplicated communicators' independent channels are pointless on a
-    throttled link, and the blocking schedule is the safer citizen.  Fallen
-    back iterations are counted in ``SSCResult.fallbacks`` and recorded in
-    the trace as ``fallback:blocking`` MISC spans.
-
-    ``tune`` hands configuration choice to :mod:`repro.tune`: a
-    :class:`~repro.tune.tuner.TuningPolicy` string (``"auto"``,
-    ``"model-only"``, ``"exhaustive"``, ``"db-only"``) builds a private
-    :class:`~repro.tune.tuner.Tuner`; a ``Tuner`` or
-    :class:`~repro.tune.service.TuningService` instance is used directly,
-    so many runs share one warm cache and coalesced searches.  The tuner
-    picks algorithm variant, ``N_DUP``, PPN and collective schedule for
-    this workload (overriding the corresponding arguments), and the
-    decision trace is attached as ``SSCResult.tuning``.  ``tune_db`` is an
-    optional :class:`~repro.tune.db.TuningDB` for warm starts (policy
-    strings only — a tuner object brings its own db).
-
-    ``deadline`` bounds the simulation at that virtual time and raises
-    :class:`~repro.sim.engine.DeadlineExceeded` if the kernel has not
-    finished — the tuner's early-termination hook.
+    The keyword options after ``n_dup`` are the shared runner options of
+    :func:`repro.kernels.run_kernel` (documented there).  Under ``faults``
+    the optimized algorithm degrades gracefully to the blocking baseline
+    while a link-degradation window is active (``SSCResult.fallbacks``);
+    under ``tune`` the tuner picks the variant, ``N_DUP``, PPN and
+    collective schedule, overriding the corresponding arguments.
     """
-    check_positive("iterations", iterations)
-    check_placement(placement)
-    validate_ssc_config(p, n, algorithm, n_dup, ppn=max(ppn, 1))
-    if tune is not None:
-        from repro.tune.candidates import apply_collective
-        from repro.tune.tuner import Tuner
-
-        tuner = (Tuner(db=tune_db, policy=tune) if isinstance(tune, str)
-                 else tune)
-        decision = tuner.autotune_ssc(p, n, ppn=ppn, placement=placement,
-                                      params=params, machine=machine)
-        best = decision.best
-        eff = apply_collective(params or NetworkParams(), best.collective)
-        result = run_ssc(
-            p, n, best.algorithm, d, n_dup=best.n_dup, ppn=best.ppn,
-            iterations=iterations, params=eff, machine=machine,
-            placement=placement, trace=trace, faults=faults, verify=verify,
-            verify_plans=verify_plans, deadline=deadline, record=record,
-            solver=solver,
-        )
-        result.tuning = decision
-        return result
-    real = d is not None
-    if real and not np.allclose(d, d.T):
-        raise ValueError("SymmSquareCube requires a symmetric input matrix")
-    ranks = p**3
-    ppn = max(ppn, 1)
-    if placement == "block":
-        cluster = block_placement(ranks, ppn)
-    else:  # "round_robin" — check_placement already rejected anything else
-        cluster = round_robin_placement(ranks, -(-ranks // ppn))
-    world = World(cluster, params=params, machine=machine, trace=trace,
-                  faults=faults, verify=verify, verify_plans=verify_plans,
-                  record=record, solver=solver)
-    mesh = Mesh3D(world, p, n_dup=max(n_dup, 1))
-    program_fn = _ALGORITHMS[algorithm]
-
-    def program(env: RankEnv):
-        i, j, k = mesh.coords_of(env.rank)
-        d_blk = None
-        if real and k == 0:
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            d_blk = np.ascontiguousarray(d[rlo:rhi, clo:chi])
-        gv = env.view(mesh.global_comm)
-        times = []
-        result = None
-        fallbacks = 0
-        for it in range(iterations):
-            yield from gv.barrier()
-            t0 = env.now
-            env.mark("t0", it)
-            fall_back = False
-            if algorithm == "optimized" and world.faults is not None:
-                flag = world.faults.link_degraded(env.now)
-                fall_back = yield from negotiate_fallback(env, gv, flag)
-            if fall_back:
-                fallbacks += 1
-                world.trace.add(env.rank, env.now, env.now, SpanKind.MISC,
-                                "fallback:blocking")
-                result = yield from ssc_baseline_program(env, mesh, n, d_blk, real)
-            elif algorithm == "optimized":
-                result = yield from program_fn(env, mesh, n, d_blk, real, n_dup)
-            else:
-                result = yield from program_fn(env, mesh, n, d_blk, real)
-            t1 = env.now
-            env.mark("t1", it)
-            times.append(t1 - t0)
-        return (times, result, fallbacks)
-
-    world.spawn_all(program, ranks=range(p**3))
-    world.run(until=deadline)
-    if deadline is not None and world.unfinished():
-        raise DeadlineExceeded(
-            f"run_ssc(p={p}, n={n}, {algorithm!r}) exceeded deadline "
-            f"{deadline:.6g}s: {len(world.unfinished())} rank program(s) unfinished"
-        )
-    outs = world.results()
-    iter_times = [
-        max(outs[r][0][it] for r in range(p**3)) for it in range(iterations)
-    ]
-    fallbacks = max(outs[r][2] for r in range(p**3))
-    d2 = d3 = None
-    if real:
-        d2 = np.zeros((n, n))
-        d3 = np.zeros((n, n))
-        for rank in range(p**3):
-            i, j, k = mesh.coords_of(rank)
-            if k != 0:
-                continue
-            blk2, blk3 = outs[rank][1]
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            d2[rlo:rhi, clo:chi] = blk2
-            d3[rlo:rhi, clo:chi] = blk3
-    if world.recorder is not None:
-        world.recorder.meta.update(kernel="ssc", ranks=ranks,
-                                   iterations=iterations)
-    return SSCResult(d2=d2, d3=d3, times=iter_times, n=n, world=world, mesh=mesh,
-                     fallbacks=fallbacks, recording=world.recorder)
+    cand = Candidate("ssc", algorithm, SSC.mesh_shape(p), n_dup, max(ppn, 1))
+    return run_kernel(
+        SSC, cand, n, (d,), iterations=iterations, params=params,
+        machine=machine, placement=placement, trace=trace, faults=faults,
+        verify=verify, verify_plans=verify_plans, tune=tune, tune_db=tune_db,
+        deadline=deadline, record=record,
+    )

@@ -47,7 +47,6 @@ class World:
         verifier=None,
         verify_plans: bool = False,
         record: bool = False,
-        solver: str = "scalar",
     ):
         self.cluster = cluster
         self.params = params or NetworkParams()
@@ -85,8 +84,7 @@ class World:
         if faults is not None:
             faults.reset()  # a reused plan replays identically in a new world
         self.fabric = Fabric(self.engine, cluster, self.params,
-                             self.trace if trace else None, faults=faults,
-                             solver=solver)
+                             self.trace if trace else None, faults=faults)
         self.transport = Transport(self)
         self._cid = 0
         self._progress = [

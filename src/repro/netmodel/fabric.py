@@ -68,8 +68,6 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.netmodel.params import MAX_CHANNELS, NetworkParams
 from repro.netmodel.topology import Cluster
 from repro.sim.engine import _COMPACT_MIN, Engine, SimEvent
@@ -114,13 +112,6 @@ class FlowRecord(NamedTuple):
 _K_TX, _K_RX, _K_PX, _K_SHM = 0, 1, 2, 3
 _CH_BITS = 3
 assert MAX_CHANNELS <= 1 << _CH_BITS
-
-#: ``solver="auto"`` switches to the vectorized fair-share pass at this many
-#: merged flows per recompute; below it the scalar loop's lower constant
-#: wins.  The two paths are bit-for-bit identical (the vector pass only
-#: replaces the min-reduction; settle/eta arithmetic stays scalar).
-_VEC_MIN_FLOWS = 24
-
 
 class Flow:
     """One in-flight message's fluid state."""
@@ -263,20 +254,10 @@ class Fabric:
         params: NetworkParams | None = None,
         trace: Trace | None = None,
         faults: FaultPlan | None = None,
-        solver: str = "scalar",
     ):
         self.engine = engine
         self.cluster = cluster
         self.params = params or NetworkParams()
-        # Fair-share solver: "scalar" (per-flow Python loop), "vector"
-        # (numpy pass over the whole merged flow set), or "auto" (vector
-        # above _VEC_MIN_FLOWS).  All three produce identical rates, etas
-        # and event orderings — see tests/test_fabric_conservation.py.
-        if solver not in ("scalar", "vector", "auto"):
-            raise ValueError(f"solver must be scalar|vector|auto: {solver!r}")
-        self.solver = solver
-        self._vec_min = (2 if solver == "vector"
-                         else _VEC_MIN_FLOWS if solver == "auto" else None)
         # Per-rank precomputation for the transfer_cb hot path: node lookup
         # without a method call, packed-int resource keys ready to use.
         placement = tuple(
@@ -696,9 +677,6 @@ class Fabric:
         else:
             flows = merged.values()
         shares = self._share_cache
-        vec_rates = None
-        if self._vec_min is not None and len(merged) >= self._vec_min:
-            vec_rates = self._min_rates_vec(flows)
         engine = self.engine
         maybe_done = self._maybe_done
         # Timer cancel/reschedule is inlined below (identical counter and
@@ -707,15 +685,12 @@ class Fabric:
         # engine state.
         heap = engine._heap
         heappush = heapq.heappush
-        for i, f in enumerate(flows):
-            if vec_rates is not None:
-                new_rate = vec_rates[i]
-            else:
-                new_rate = f.cap
-                for key in f.resources:
-                    share = shares[key]
-                    if share < new_rate:
-                        new_rate = share
+        for f in flows:
+            new_rate = f.cap
+            for key in f.resources:
+                share = shares[key]
+                if share < new_rate:
+                    new_rate = share
             rate = f.rate
             if new_rate == rate and rate > 0.0:
                 continue  # unchanged binding: existing completion stays valid
@@ -755,33 +730,6 @@ class Fabric:
             engine._seq = seq = engine._seq + 1
             f.timer = entry = [eta, seq, maybe_done, (f,)]
             heappush(heap, entry)
-
-    def _min_rates_vec(self, flows) -> list:
-        """Vectorized fair-share pass: min over each flow's resource shares.
-
-        One array pass replaces the per-flow Python min-loop: the flows'
-        resource keys are flattened, deduplicated with ``np.unique`` (one
-        :class:`_ShareCache` probe per *distinct* resource instead of one
-        per membership), gathered through the inverse index and segment-
-        min-reduced per flow.  ``min`` over IEEE doubles is exact and
-        order-free, so the returned rates are bit-for-bit the scalar
-        loop's; the caller's settle/eta arithmetic is untouched.
-        """
-        shares = self._share_cache
-        res_lists = [f.resources for f in flows]
-        nf = len(res_lists)
-        lens = np.fromiter((len(r) for r in res_lists), dtype=np.intp,
-                           count=nf)
-        flat = np.fromiter((k for r in res_lists for k in r), dtype=np.int64,
-                           count=int(lens.sum()))
-        uniq, inv = np.unique(flat, return_inverse=True)
-        vals = np.fromiter((shares[int(k)] for k in uniq), dtype=np.float64,
-                           count=len(uniq))
-        offsets = np.zeros(nf, dtype=np.intp)
-        np.cumsum(lens[:-1], out=offsets[1:])
-        mins = np.minimum.reduceat(vals[inv], offsets)
-        caps = np.fromiter((f.cap for f in flows), dtype=np.float64, count=nf)
-        return np.minimum(caps, mins).tolist()
 
     def _maybe_done(self, flow: Flow) -> None:
         flow.timer = None

@@ -336,7 +336,6 @@ def _fold_static(rec: GraphRecorder):
 
 def replay(recording: GraphRecorder, params: NetworkParams | None = None,
            machine: MachineParams | None = None,
-           solver: str = "auto",
            deadline: float | None = None) -> ReplayResult:
     """Solve the recorded timeline under ``params``; exact by construction.
 
@@ -388,7 +387,7 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
     cluster = rec.cluster
     if cluster is None:
         raise ReplayInvalid("recording carries no cluster topology")
-    fab = Fabric(eng, cluster, params or rec.params, solver=solver)
+    fab = Fabric(eng, cluster, params or rec.params)
     schedule_at = eng.schedule_at
     transfer_cb = fab.transfer_cb
 
@@ -475,8 +474,7 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
 def replay_kernel(recording: GraphRecorder,
                   params: NetworkParams | None = None,
                   machine: MachineParams | None = None,
-                  deadline: float | None = None,
-                  solver: str = "auto") -> tuple[float, float]:
+                  deadline: float | None = None) -> tuple[float, float]:
     """Replay a recorded kernel run; mirror of
     :func:`repro.tune.search.simulate_candidate`'s return contract.
 
@@ -493,8 +491,7 @@ def replay_kernel(recording: GraphRecorder,
         iterations = meta["iterations"]
     except KeyError as exc:
         raise ReplayInvalid(f"recording lacks kernel metadata: {exc}") from exc
-    r = replay(recording, params=params, machine=machine, solver=solver,
-               deadline=deadline)
+    r = replay(recording, params=params, machine=machine, deadline=deadline)
     if deadline is not None:
         world_time = deadline  # Engine.run(until) pins now to the deadline
     else:
@@ -516,7 +513,6 @@ def replay_kernel_grid(
     recording: GraphRecorder,
     overrides: list[dict],
     machine: MachineParams | None = None,
-    solver: str = "auto",
 ) -> list[float]:
     """Re-price one recorded kernel run over a grid of fabric constants.
 
@@ -545,7 +541,6 @@ def replay_kernel_grid(
     for ov in overrides:
         elapsed, _world = replay_kernel(
             recording, params=base.replace(**ov), machine=machine,
-            solver=solver,
         )
         out.append(elapsed)
     return out

@@ -27,12 +27,16 @@ automates that choice per workload:
 
 This ``__init__`` imports only the kernel-free layers eagerly; the
 :class:`Tuner` and the search (which import the kernels) load lazily, so the
-kernels themselves can depend on :mod:`repro.tune.validity` without a cycle.
+kernels themselves can depend on the validity rules, :class:`Candidate` and
+the signatures without a cycle.  Per-kernel knowledge lives in the kernels'
+:class:`~repro.kernels.driver.KernelSpec` registry, resolved on first use
+(:func:`kernel_spec`).
 """
 
 from repro.tune.candidates import (
     Candidate,
     apply_collective,
+    effective_params,
     enumerate_candidates,
     n_dup_choices,
     paper_default_candidate,
@@ -46,6 +50,8 @@ from repro.tune.db import (
 from repro.tune.signature import (
     WorkloadSignature,
     fabric_hash,
+    kernel_spec,
+    signature_for,
     signature_for_ssc,
     signature_for_ssc25d,
     signature_for_summa,
@@ -82,14 +88,14 @@ _LAZY = {
 
 __all__ = [
     # signature
-    "WorkloadSignature", "fabric_hash", "signature_for_ssc",
-    "signature_for_ssc25d", "signature_for_summa",
+    "WorkloadSignature", "fabric_hash", "kernel_spec", "signature_for",
+    "signature_for_ssc", "signature_for_ssc25d", "signature_for_summa",
     # validity
     "min_block_elems", "validate_ssc_config", "validate_ssc25d_config",
     "validate_summa_config",
     # candidates
     "Candidate", "enumerate_candidates", "paper_default_candidate",
-    "apply_collective", "n_dup_choices",
+    "apply_collective", "effective_params", "n_dup_choices",
     # db
     "TuningDB", "TuningRecord", "TraceEntry", "DB_SCHEMA",
     # lazy: tuner + search + service + graphstore

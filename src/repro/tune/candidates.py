@@ -4,10 +4,12 @@ A :class:`Candidate` is one fully-specified way to run a kernel for a given
 :class:`~repro.tune.signature.WorkloadSignature`: the algorithm variant,
 the ``N_DUP`` duplicated-communicator count, the processes-per-node, the
 mesh shape (the 2.5D replication factor ``c`` rides in here), and the
-collective-algorithm override.  The generator enumerates every *valid*
-combination — validity is delegated to :mod:`repro.tune.validity`, the same
-rules the kernels enforce, so an invalid candidate can never reach the
-simulator.
+collective-algorithm override.  It is also the configuration object
+:func:`repro.kernels.run_kernel` runs.  The generator enumerates every
+*valid* combination of the kernel's own axes (``KernelSpec.axes``) with
+the PPN and collective axes — validity is the kernel's
+``KernelSpec.validate`` (:mod:`repro.tune.validity`), the same rule a
+direct run enforces, so an invalid candidate can never reach the simulator.
 
 Knob vocabulary
 ---------------
@@ -33,15 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.netmodel.params import MachineParams, NetworkParams
-from repro.tune.signature import WorkloadSignature
-from repro.tune.validity import (
-    SSC_ALGORITHMS,
-    SUMMA_ALGORITHMS,
-    SUMMA_COLOR_CHOICES,
-    validate_ssc25d_config,
-    validate_ssc_config,
-    validate_summa_config,
-)
+from repro.tune.signature import WorkloadSignature, kernel_spec
 
 #: N_DUP candidates are the divisors of this pipeline-parts budget ...
 PARTS_BUDGET = 24
@@ -91,7 +85,7 @@ def apply_collective(params: NetworkParams, collective: str) -> NetworkParams:
 class Candidate:
     """One fully-specified kernel configuration."""
 
-    kernel: str                   #: "ssc", "ssc25d" or "summa"
+    kernel: str                   #: a :data:`repro.kernels.KERNELS` key
     algorithm: str                #: SSC/SUMMA variant, or "ssc25d" for Alg. 6
     mesh: tuple[int, int, int]    #: (pi, pj, pk); pk is the 2.5D ``c``
     n_dup: int                    #: N_DUP (SSC) / color count (SUMMA)
@@ -140,16 +134,20 @@ class Candidate:
 
     def validate(self, n: int) -> None:
         """Re-check this candidate against the kernel validity rules."""
-        pi, _pj, pk = self.mesh
-        if self.kernel == "ssc":
-            validate_ssc_config(pi, n, self.algorithm, self.n_dup, self.ppn)
-        elif self.kernel == "ssc25d":
-            validate_ssc25d_config(pi, pk, n, self.n_dup, self.ppn)
-        elif self.kernel == "summa":
-            validate_summa_config(pi, n, self.algorithm, self.n_dup,
-                                  self.depth, self.ppn)
-        else:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
+        kernel_spec(self.kernel).validate(self, n, None)
+
+
+def effective_params(cand: Candidate,
+                     params: NetworkParams | None = None) -> NetworkParams:
+    """The fabric ``cand`` runs on: ``params`` with its collective override
+    applied and widened to the lanes it pins traffic to.
+
+    A lane-pinned candidate (colored SUMMA) needs one fabric channel per
+    color; running or scoring it IS running that fabric configuration.
+    """
+    eff = apply_collective(params or NetworkParams(), cand.collective)
+    lanes = kernel_spec(cand.kernel).lanes(cand)
+    return eff if eff.num_channels >= lanes else eff.replace(num_channels=lanes)
 
 
 def _ppn_choices(machine: MachineParams | None) -> tuple[int, ...]:
@@ -183,81 +181,23 @@ def enumerate_candidates(
     early-termination decisions) replay bit-for-bit.
     """
     cands: list[Candidate] = []
-    if sig.kernel == "ssc":
-        p = sig.mesh[0]
-        for algorithm in SSC_ALGORITHMS:
-            ndups = n_dup_choices() if algorithm == "optimized" else (1,)
-            for n_dup in ndups:
-                for ppn in _ppn_choices(machine):
-                    for collective in collectives:
-                        try:
-                            validate_ssc_config(p, sig.n, algorithm, n_dup, ppn)
-                        except ValueError:
-                            continue
-                        cands.append(Candidate(
-                            kernel="ssc", algorithm=algorithm,
-                            mesh=(p, p, p), n_dup=n_dup, ppn=ppn,
-                            collective=collective,
-                        ))
-    elif sig.kernel == "summa":
-        p = sig.mesh[0]
-        for algorithm in SUMMA_ALGORITHMS:
-            color_choices = (SUMMA_COLOR_CHOICES if algorithm == "colored"
-                             else (1,))
-            depth_choices = (1,) if algorithm == "plain" else SUMMA_DEPTH_CHOICES
-            for colors in color_choices:
-                for depth in depth_choices:
-                    for ppn in _ppn_choices(machine):
-                        for collective in collectives:
-                            try:
-                                validate_summa_config(p, sig.n, algorithm,
-                                                      colors, depth, ppn)
-                            except ValueError:
-                                continue
-                            cands.append(Candidate(
-                                kernel="summa", algorithm=algorithm,
-                                mesh=(p, p, 1), n_dup=colors, ppn=ppn,
-                                collective=collective, depth=depth,
-                            ))
-    elif sig.kernel == "ssc25d":
-        for mesh in meshes_25d(sig.ranks):
-            q, _q, c = mesh
-            for n_dup in n_dup_choices():
-                for ppn in _ppn_choices(machine):
-                    for collective in collectives:
-                        try:
-                            validate_ssc25d_config(q, c, sig.n, n_dup, ppn)
-                        except ValueError:
-                            continue
-                        cands.append(Candidate(
-                            kernel="ssc25d", algorithm="ssc25d", mesh=mesh,
-                            n_dup=n_dup, ppn=ppn, collective=collective,
-                        ))
-    else:  # pragma: no cover - signature already validates the kernel id
-        raise ValueError(f"unknown kernel {sig.kernel!r}")
+    for algorithm, mesh, n_dup, depth in kernel_spec(sig.kernel).axes(sig):
+        for ppn in _ppn_choices(machine):
+            for collective in collectives:
+                cand = Candidate(
+                    kernel=sig.kernel, algorithm=algorithm, mesh=mesh,
+                    n_dup=n_dup, ppn=ppn, collective=collective, depth=depth,
+                )
+                try:
+                    cand.validate(sig.n)
+                except ValueError:
+                    continue
+                cands.append(cand)
     cands.sort(key=lambda cand: cand.key)
     return cands
 
 
 def paper_default_candidate(sig: WorkloadSignature) -> Candidate:
-    """The paper's default configuration for ``sig`` — the tuning baseline.
-
-    3D kernel: Algorithm 5 with ``N_DUP = 4`` ("the results justify our
-    choice of using N_DUP = 4") at the signature's requested PPN; 2.5D:
-    the requested mesh with ``N_DUP = 1``; SUMMA: the textbook blocking
-    ``plain`` variant.  ``N_DUP`` is clamped by the validity rules for
-    tiny blocks.
-    """
-    from repro.tune.validity import min_block_elems
-
-    if sig.kernel == "ssc":
-        p = sig.mesh[0]
-        n_dup = min(4, min_block_elems(sig.n, p))
-        return Candidate(kernel="ssc", algorithm="optimized",
-                         mesh=(p, p, p), n_dup=n_dup, ppn=sig.ppn)
-    if sig.kernel == "summa":
-        p = sig.mesh[0]
-        return Candidate(kernel="summa", algorithm="plain", mesh=(p, p, 1),
-                         n_dup=1, ppn=sig.ppn)
-    return Candidate(kernel="ssc25d", algorithm="ssc25d", mesh=sig.mesh,
-                     n_dup=1, ppn=sig.ppn)
+    """The paper's default configuration for ``sig`` (``KernelSpec.default``)
+    at the signature's requested PPN — the tuning baseline."""
+    return kernel_spec(sig.kernel).default(sig)

@@ -62,22 +62,17 @@ def _print_record(record, trace: bool = False) -> None:
 
 def _signatures(args) -> list:
     """Resolve the kernel spec (+ one or more ``--n``) to signatures."""
-    from repro.tune.signature import (
-        signature_for_ssc,
-        signature_for_ssc25d,
-        signature_for_summa,
-    )
+    from repro.kernels import KERNELS
+    from repro.tune.signature import signature_for
 
+    spec = KERNELS[args.kernel]
+    shape = [getattr(args, flag) for flag in spec.shape_flags]
+    if None in shape:
+        flags = " and ".join(f"--{flag}" for flag in spec.shape_flags)
+        raise SystemExit(f"search {args.kernel} requires {flags}")
     dims = args.n if isinstance(args.n, list) else [args.n]
-    if args.kernel in ("ssc", "summa"):
-        if args.p is None:
-            raise SystemExit(f"search {args.kernel} requires --p")
-        make = signature_for_ssc if args.kernel == "ssc" else signature_for_summa
-        return [make(args.p, n, ppn=args.ppn) for n in dims]
-    if args.q is None or args.c is None:
-        raise SystemExit("search ssc25d requires --q and --c")
-    return [signature_for_ssc25d(args.q, args.c, n, ppn=args.ppn)
-            for n in dims]
+    return [signature_for(args.kernel, spec.mesh_shape(*shape), n,
+                          ppn=args.ppn) for n in dims]
 
 
 def _cmd_search(args) -> int:
@@ -234,7 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser("search", help="run a tuning search")
-    p_search.add_argument("kernel", choices=("ssc", "ssc25d", "summa"))
+    from repro.kernels import KERNELS
+
+    p_search.add_argument("kernel", choices=sorted(KERNELS))
     _add_workload_options(p_search, many_n=False)
     p_search.add_argument("--trace", action="store_true",
                           help="print the full decision trace")
@@ -242,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_warm = sub.add_parser(
         "warm", help="pre-warm a db through the tuning service")
-    p_warm.add_argument("kernel", choices=("ssc", "ssc25d", "summa"))
+    p_warm.add_argument("kernel", choices=sorted(KERNELS))
     _add_workload_options(p_warm, many_n=True)
     p_warm.add_argument("--threads", type=int, default=1,
                         help="submit requests from this many threads "

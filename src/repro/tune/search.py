@@ -1,9 +1,9 @@
 """The two-stage candidate search: analytic pruning, then exact simulation.
 
-Stage 1 scores every valid candidate with the closed-form alpha-beta models
-(:func:`repro.netmodel.analytic.estimate_ssc_time` /
-:func:`~repro.netmodel.analytic.estimate_ssc25d_time`) — microseconds per
-candidate — and keeps a shortlist.  Stage 2 replays the shortlist through
+Stage 1 scores every valid candidate with the kernel's closed-form
+alpha-beta model (``KernelSpec.estimate``, see
+:mod:`repro.netmodel.analytic`) — microseconds per candidate — and keeps a
+shortlist.  Stage 2 replays the shortlist through
 the discrete-event simulator, which prices everything the closed forms
 cannot (link sharing, pipeline bubbles, barrier skew), with **early
 termination**: each run carries the incumbent's finishing time as a
@@ -27,18 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.dense.summa import run_summa
-from repro.kernels.ssc25d import run_ssc25d
-from repro.kernels.symmsquarecube import run_ssc
-from repro.netmodel.analytic import (
-    estimate_ssc25d_time,
-    estimate_ssc_time,
-    estimate_summa_time,
-)
+from repro.kernels import KERNELS, run_kernel
 from repro.netmodel.params import MachineParams, NetworkParams
 from repro.sim.engine import DeadlineExceeded
 from repro.sim.replay import ReplayInvalid, replay_kernel
-from repro.tune.candidates import Candidate, apply_collective
+from repro.tune.candidates import Candidate, effective_params
 from repro.tune.db import TraceEntry
 from repro.tune.signature import WorkloadSignature
 
@@ -69,22 +62,7 @@ def model_time(sig: WorkloadSignature, cand: Candidate,
                params: NetworkParams | None = None,
                machine: MachineParams | None = None) -> float:
     """Stage-1 analytic estimate [s] of ``cand`` on ``sig``'s workload."""
-    if cand.kernel == "ssc":
-        return estimate_ssc_time(
-            sig.n, cand.mesh[0], cand.algorithm, cand.n_dup, cand.ppn,
-            collective=cand.collective, params=params, machine=machine,
-        )
-    if cand.kernel == "summa":
-        return estimate_summa_time(
-            sig.n, cand.mesh[0], cand.algorithm, cand.n_dup, cand.depth,
-            cand.ppn, collective=cand.collective, params=params,
-            machine=machine,
-        )
-    q, _q, c = cand.mesh
-    return estimate_ssc25d_time(
-        sig.n, q, c, cand.n_dup, cand.ppn,
-        collective=cand.collective, params=params, machine=machine,
-    )
+    return KERNELS[cand.kernel].estimate(cand, sig.n, params, machine)
 
 
 def simulate_candidate(sig: WorkloadSignature, cand: Candidate,
@@ -103,32 +81,11 @@ def simulate_candidate(sig: WorkloadSignature, cand: Candidate,
     the return value grows to ``(kernel_time, world_time, recording)`` —
     the recording is ``None``-safe but may be invalid (check ``.valid``).
     """
-    eff = apply_collective(params or NetworkParams(), cand.collective)
-    if cand.kernel == "summa":
-        if cand.algorithm == "colored" and eff.num_channels < cand.n_dup:
-            # The colored variant needs one fabric lane per color; scoring
-            # it IS scoring that fabric configuration.
-            eff = eff.replace(num_channels=cand.n_dup)
-        res = run_summa(
-            cand.mesh[0], sig.n, algorithm=cand.algorithm, colors=cand.n_dup,
-            depth=cand.depth, ppn=cand.ppn, params=eff, machine=machine,
-            deadline=deadline, record=record,
-        )
-        if record:
-            return res.elapsed, res.world.engine.now, res.recording
-        return res.elapsed, res.world.engine.now
-    if cand.kernel == "ssc":
-        res = run_ssc(
-            cand.mesh[0], sig.n, cand.algorithm, n_dup=cand.n_dup,
-            ppn=cand.ppn, params=eff, machine=machine,
-            placement=sig.placement, deadline=deadline, record=record,
-        )
-    else:
-        q, _q, c = cand.mesh
-        res = run_ssc25d(
-            q, c, sig.n, n_dup=cand.n_dup, ppn=cand.ppn, params=eff,
-            machine=machine, deadline=deadline, record=record,
-        )
+    res = run_kernel(
+        KERNELS[cand.kernel], cand, sig.n,
+        params=effective_params(cand, params), machine=machine,
+        placement=sig.placement, deadline=deadline, record=record,
+    )
     if record:
         return res.elapsed, res.world.engine.now, res.recording
     return res.elapsed, res.world.engine.now
@@ -254,11 +211,10 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
         if use_replay:
             recg = graph_cache.get(cache_key)
             if recg is not None:
-                eff = apply_collective(params or NetworkParams(),
-                                       entry.candidate.collective)
                 try:
-                    scored = replay_kernel(recg, params=eff, machine=machine,
-                                           deadline=deadline)
+                    scored = replay_kernel(
+                        recg, params=effective_params(entry.candidate, params),
+                        machine=machine, deadline=deadline)
                     replays += 1
                 except DeadlineExceeded:
                     # The replay aborted at the first rank-completion past

@@ -70,13 +70,8 @@ from repro.netmodel.params import MachineParams, NetworkParams
 from repro.tune.db import DEFAULT_MAX_RECORDS, TuningDB, TuningRecord
 from repro.tune.graphstore import GraphStore
 from repro.tune.search import DEFAULT_MAX_CANDIDATES, DEFAULT_SHORTLIST
-from repro.tune.signature import (
-    WorkloadSignature,
-    signature_for_ssc,
-    signature_for_ssc25d,
-    signature_for_summa,
-)
-from repro.tune.tuner import Tuner, interpolation_seeds
+from repro.tune.signature import WorkloadSignature
+from repro.tune.tuner import KernelEntryPoints, Tuner, interpolation_seeds
 
 #: Interpolation neighborhood: a family record qualifies as a warm-start
 #: neighbor when ``|n - n'| / n'`` is at most this.  Candidate validity and
@@ -158,7 +153,7 @@ class _InFlight:
         self.order = order
 
 
-class TuningService:
+class TuningService(KernelEntryPoints):
     """Concurrent tuning backend over one :class:`TuningDB`.
 
     Thread-safe; every public method may be called from any thread.  The
@@ -244,34 +239,6 @@ class TuningService:
         if leader:
             self._run_search_job(sig, fut, preds, order, params, machine)
         return fut.result()
-
-    # -- kernel entry points (Tuner-compatible, so ``run_ssc(tune=service)``
-    # and friends can hand configuration choice to a shared service) --------
-
-    def autotune_ssc(self, p: int, n: int, *, ppn: int = 1,
-                     placement: str = "block",
-                     params: NetworkParams | None = None,
-                     machine: MachineParams | None = None) -> TuningRecord:
-        """Best configuration for a :func:`repro.kernels.run_ssc` workload."""
-        sig = signature_for_ssc(p, n, ppn=ppn, placement=placement,
-                                params=params, machine=machine)
-        return self.tune(sig, params=params, machine=machine)
-
-    def autotune_summa(self, p: int, n: int, *, ppn: int = 1,
-                       params: NetworkParams | None = None,
-                       machine: MachineParams | None = None) -> TuningRecord:
-        """Best configuration for a :func:`repro.dense.run_summa` workload."""
-        sig = signature_for_summa(p, n, ppn=ppn, params=params,
-                                  machine=machine)
-        return self.tune(sig, params=params, machine=machine)
-
-    def autotune_ssc25d(self, q: int, c: int, n: int, *, ppn: int = 1,
-                        params: NetworkParams | None = None,
-                        machine: MachineParams | None = None) -> TuningRecord:
-        """Best configuration for a :func:`repro.kernels.run_ssc25d` workload."""
-        sig = signature_for_ssc25d(q, c, n, ppn=ppn, params=params,
-                                   machine=machine)
-        return self.tune(sig, params=params, machine=machine)
 
     def _register(self, sig: WorkloadSignature, params=None, machine=None):
         """Take the miss path's decisions under the service lock."""

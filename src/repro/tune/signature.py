@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from repro.netmodel.params import MachineParams, NetworkParams
@@ -47,7 +48,7 @@ def fabric_hash(params: NetworkParams | None,
 class WorkloadSignature:
     """Immutable description of one tunable workload."""
 
-    kernel: str          #: "ssc" (Algs. 3-5), "ssc25d" (Alg. 6) or "summa"
+    kernel: str          #: a :data:`repro.kernels.KERNELS` key
     n: int               #: matrix dimension
     ranks: int           #: total process count (fixed by the caller)
     mesh: tuple[int, int, int]  #: requested mesh shape (pi, pj, pk)
@@ -56,8 +57,7 @@ class WorkloadSignature:
     fabric: str          #: :func:`fabric_hash` of the fabric constants
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("ssc", "ssc25d", "summa"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
+        kernel_spec(self.kernel)  # raises ValueError on an unregistered id
         if self.n < 1 or self.ranks < 1 or self.ppn < 1:
             raise ValueError("n, ranks and ppn must all be >= 1")
         pi, pj, pk = self.mesh
@@ -125,44 +125,55 @@ class WorkloadSignature:
         )
 
 
-def signature_for_ssc(p: int, n: int, *, ppn: int = 1,
-                      placement: str = "block",
-                      params: NetworkParams | None = None,
-                      machine: MachineParams | None = None) -> WorkloadSignature:
-    """Signature of a :func:`repro.kernels.run_ssc` workload (``p^3`` ranks)."""
-    return WorkloadSignature(
-        kernel="ssc", n=n, ranks=p ** 3, mesh=(p, p, p), ppn=max(ppn, 1),
-        placement=placement, fabric=fabric_hash(params, machine),
-    )
+def kernel_spec(kernel: str):
+    """The registered :class:`~repro.kernels.driver.KernelSpec` of ``kernel``.
+
+    Imported on first use: the kernels import this package's validity
+    rules, so the registry cannot be a module-level import here.
+    """
+    from repro.kernels import KERNELS
+
+    try:
+        return KERNELS[kernel]
+    except KeyError:
+        raise ValueError(
+            f"unknown kernel {kernel!r}; pick from {sorted(KERNELS)}"
+        ) from None
 
 
-def signature_for_summa(p: int, n: int, *, ppn: int = 1,
-                        params: NetworkParams | None = None,
-                        machine: MachineParams | None = None,
-                        ) -> WorkloadSignature:
-    """Signature of a :func:`repro.dense.run_summa` workload (``p^2`` ranks).
+def signature_for(kernel: str, mesh: tuple[int, int, int], n: int, *,
+                  ppn: int = 1, placement: str = "block",
+                  params: NetworkParams | None = None,
+                  machine: MachineParams | None = None) -> WorkloadSignature:
+    """Signature of one ``kernel`` workload on the requested ``mesh``.
 
-    The variant/colors/depth axes are candidate knobs, not signature axes
-    — one signature covers the whole SUMMA family on a given mesh.
+    The mesh is the *requested* shape; axes the tuner is free to move
+    (variant, colors, depth, the 2.5D factorization of the same rank
+    count) are candidate knobs, not signature axes.
     """
     return WorkloadSignature(
-        kernel="summa", n=n, ranks=p * p, mesh=(p, p, 1), ppn=max(ppn, 1),
-        placement="block", fabric=fabric_hash(params, machine),
-    )
-
-
-def signature_for_ssc25d(q: int, c: int, n: int, *, ppn: int = 1,
-                         params: NetworkParams | None = None,
-                         machine: MachineParams | None = None,
-                         ) -> WorkloadSignature:
-    """Signature of a :func:`repro.kernels.run_ssc25d` workload (``q^2 c`` ranks).
-
-    The mesh records the *requested* ``(q, q, c)``; the tuner may still move
-    to any other factorization with the same rank count (that freedom is a
-    candidate axis, not a signature axis).
-    """
-    return WorkloadSignature(
-        kernel="ssc25d", n=n, ranks=q * q * c, mesh=(q, q, c),
-        ppn=max(ppn, 1), placement="block",
+        kernel=kernel, n=n, ranks=math.prod(mesh), mesh=tuple(mesh),
+        ppn=max(ppn, 1), placement=placement,
         fabric=fabric_hash(params, machine),
     )
+
+
+def signature_for_ssc(p: int, n: int, **options) -> WorkloadSignature:
+    """Signature of a :func:`repro.kernels.run_ssc` workload (``p^3`` ranks);
+    ``options`` as :func:`signature_for`."""
+    return signature_for("ssc", kernel_spec("ssc").mesh_shape(p), n, **options)
+
+
+def signature_for_summa(p: int, n: int, **options) -> WorkloadSignature:
+    """Signature of a :func:`repro.dense.run_summa` workload (``p^2`` ranks);
+    ``options`` as :func:`signature_for`."""
+    return signature_for("summa", kernel_spec("summa").mesh_shape(p), n,
+                         **options)
+
+
+def signature_for_ssc25d(q: int, c: int, n: int,
+                         **options) -> WorkloadSignature:
+    """Signature of a :func:`repro.kernels.run_ssc25d` workload (``q^2 c``
+    ranks); ``options`` as :func:`signature_for`."""
+    return signature_for("ssc25d", kernel_spec("ssc25d").mesh_shape(q, c), n,
+                         **options)

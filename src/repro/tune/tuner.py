@@ -1,10 +1,10 @@
 """The tuner front-end: policies, warm starts, and the kernel entry points.
 
 A :class:`Tuner` binds a :class:`~repro.tune.db.TuningDB` (possibly
-ephemeral) to a :class:`TuningPolicy` and exposes one method per kernel.
-The kernels call these through ``run_ssc(..., tune="auto")`` /
-``run_ssc25d(..., tune="auto")``; the CLI (``python -m repro.tune``) and the
-``ablation-autotune`` bench experiment call them directly.
+ephemeral) to a :class:`TuningPolicy`.  :func:`repro.kernels.run_kernel`
+calls :meth:`Tuner.tune` for ``run_ssc(..., tune="auto")`` and friends; the
+CLI (``python -m repro.tune``) and the ``ablation-autotune`` bench
+experiment use the per-kernel ``autotune_*`` shorthands.
 
 Policies
 --------
@@ -36,12 +36,7 @@ from repro.tune.search import (
     SearchOutcome,
     search,
 )
-from repro.tune.signature import (
-    WorkloadSignature,
-    signature_for_ssc,
-    signature_for_ssc25d,
-    signature_for_summa,
-)
+from repro.tune.signature import WorkloadSignature, kernel_spec, signature_for
 
 #: The policy vocabulary (see module docstring).
 TUNING_POLICIES = ("auto", "model-only", "exhaustive", "db-only")
@@ -73,7 +68,38 @@ def interpolation_seeds(record: TuningRecord) -> list[Candidate]:
                   key=lambda c: c.key)
 
 
-class Tuner:
+class KernelEntryPoints:
+    """``autotune_<kernel>(shape..., n, **options)`` shorthands over ``tune``.
+
+    Shared by :class:`Tuner` and :class:`~repro.tune.service.TuningService`
+    (anything with ``tune(sig, params=, machine=)``).  ``options`` are
+    ``ppn``, ``placement``, ``params`` and ``machine``.
+    """
+
+    def autotune_ssc(self, p: int, n: int, **options) -> TuningRecord:
+        """Best configuration for a :func:`repro.kernels.run_ssc` workload."""
+        return self._autotune("ssc", (p,), n, **options)
+
+    def autotune_summa(self, p: int, n: int, **options) -> TuningRecord:
+        """Best configuration for a :func:`repro.dense.run_summa` workload."""
+        return self._autotune("summa", (p,), n, **options)
+
+    def autotune_ssc25d(self, q: int, c: int, n: int,
+                        **options) -> TuningRecord:
+        """Best configuration for a :func:`repro.kernels.run_ssc25d` workload."""
+        return self._autotune("ssc25d", (q, c), n, **options)
+
+    def _autotune(self, kernel: str, shape: tuple, n: int, *, ppn: int = 1,
+                  placement: str = "block",
+                  params: NetworkParams | None = None,
+                  machine: MachineParams | None = None) -> TuningRecord:
+        sig = signature_for(kernel, kernel_spec(kernel).mesh_shape(*shape), n,
+                            ppn=ppn, placement=placement, params=params,
+                            machine=machine)
+        return self.tune(sig, params=params, machine=machine)
+
+
+class Tuner(KernelEntryPoints):
     """Policy-driven configuration search with a persistent warm-start db."""
 
     def __init__(self, db: TuningDB | None = None,
@@ -121,38 +147,6 @@ class Tuner:
         self.replay_loads = 0
         #: Searches that ran on an interpolated (seeded) shortlist.
         self.interpolations = 0
-
-    # -- kernel entry points ---------------------------------------------------
-
-    def autotune_ssc(self, p: int, n: int, *, ppn: int = 1,
-                     placement: str = "block",
-                     params: NetworkParams | None = None,
-                     machine: MachineParams | None = None) -> TuningRecord:
-        """Best configuration for a :func:`repro.kernels.run_ssc` workload."""
-        sig = signature_for_ssc(p, n, ppn=ppn, placement=placement,
-                                params=params, machine=machine)
-        return self.tune(sig, params=params, machine=machine)
-
-    def autotune_summa(self, p: int, n: int, *, ppn: int = 1,
-                       params: NetworkParams | None = None,
-                       machine: MachineParams | None = None) -> TuningRecord:
-        """Best configuration for a :func:`repro.dense.run_summa` workload.
-
-        Sweeps the variant (plain / streaming / colored), the color count,
-        and the pre-posted broadcast-window depth; the paper default (and
-        incumbent seed) is the plain blocking variant.
-        """
-        sig = signature_for_summa(p, n, ppn=ppn, params=params,
-                                  machine=machine)
-        return self.tune(sig, params=params, machine=machine)
-
-    def autotune_ssc25d(self, q: int, c: int, n: int, *, ppn: int = 1,
-                        params: NetworkParams | None = None,
-                        machine: MachineParams | None = None) -> TuningRecord:
-        """Best configuration for a :func:`repro.kernels.run_ssc25d` workload."""
-        sig = signature_for_ssc25d(q, c, n, ppn=ppn, params=params,
-                                   machine=machine)
-        return self.tune(sig, params=params, machine=machine)
 
     # -- core ------------------------------------------------------------------
 

@@ -11,12 +11,8 @@ Also pins the `_flows_at` leak fix: resource keys whose flow sets drain
 must be pruned, so long-lived fabrics stay O(active flows), not O(every
 resource ever touched).
 
-Every property case additionally runs under both fair-share solvers
-(``solver="scalar"`` and ``solver="vector"``, see
-:class:`repro.netmodel.fabric.Fabric`): byte accounting, completion
-order, per-recompute share assignments and engine counters must be
-bit-for-bit identical — the vectorized pass is an implementation detail,
-never a semantic choice.
+The determinism case compares two runs share-by-share (every rate
+assignment at every recompute), not just on their end-state counters.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -65,11 +61,11 @@ class ProbeFabric(Fabric):
         super()._complete(flow)
 
 
-def drive(flow_spec, faults=None, solver="scalar"):
+def drive(flow_spec, faults=None):
     """Post (src, dst_offset, nbytes, t_start) flows; run to completion."""
     eng = Engine()
     fab = ProbeFabric(eng, block_placement(RANKS, PPN),
-                      NetworkParams(), faults=faults, solver=solver)
+                      NetworkParams(), faults=faults)
     finish_times = []
     for (src, doff, nbytes, t0) in flow_spec:
         dst = (src + 1 + doff) % RANKS
@@ -109,12 +105,12 @@ CHANNEL_FLOWS = st.lists(
 )
 
 
-def drive_channels(flow_spec, faults=None, solver="scalar"):
+def drive_channels(flow_spec, faults=None):
     """Like :func:`drive`, but each flow rides its spec's channel."""
     eng = Engine()
     fab = ProbeFabric(eng, block_placement(RANKS, PPN),
                       NetworkParams(num_channels=N_CHANNELS),
-                      faults=faults, solver=solver)
+                      faults=faults)
     finish_times = []
     for (src, doff, nbytes, t0, channel) in flow_spec:
         dst = (src + 1 + doff) % RANKS
@@ -179,29 +175,27 @@ def check_conserved(fab, flow_spec, finish_times):
     assert fab._dirty == {}
 
 
-def check_solvers_agree(scalar_run, vector_run):
-    """The two fair-share solvers must be observationally identical."""
-    eng_s, fab_s, finish_s = scalar_run
-    eng_v, fab_v, finish_v = vector_run
-    assert finish_s == finish_v              # completion instants, in order
-    assert fab_s.completions == fab_v.completions  # byte accounting per flow
-    assert fab_s.rate_log == fab_v.rate_log  # every share assignment, every
-    assert fab_s.inter_node_bytes == fab_v.inter_node_bytes  # recompute
-    assert fab_s.intra_node_bytes == fab_v.intra_node_bytes
-    assert eng_s.events_processed == eng_v.events_processed
-    assert eng_s.events_cancelled == eng_v.events_cancelled
+def check_runs_agree(run_a, run_b):
+    """Two runs of one flow spec must be observationally identical."""
+    eng_a, fab_a, finish_a = run_a
+    eng_b, fab_b, finish_b = run_b
+    assert finish_a == finish_b              # completion instants, in order
+    assert fab_a.completions == fab_b.completions  # byte accounting per flow
+    assert fab_a.rate_log == fab_b.rate_log  # every share assignment, every
+    assert fab_a.inter_node_bytes == fab_b.inter_node_bytes  # recompute
+    assert fab_a.intra_node_bytes == fab_b.intra_node_bytes
+    assert eng_a.events_processed == eng_b.events_processed
+    assert eng_a.events_cancelled == eng_b.events_cancelled
+    assert eng_a.peak_heap_size == eng_b.peak_heap_size
 
 
 class TestConservation:
     @settings(max_examples=40, deadline=None)
     @given(flows=FLOWS)
     def test_arbitrary_interleavings_conserve_bytes(self, flows):
-        runs = {}
-        for solver in ("scalar", "vector"):
-            eng, fab, finish = runs[solver] = drive(flows, solver=solver)
-            check_conserved(fab, flows, finish)
-            assert eng.idle  # heap fully drained (dead entries reaped)
-        check_solvers_agree(runs["scalar"], runs["vector"])
+        eng, fab, finish = drive(flows)
+        check_conserved(fab, flows, finish)
+        assert eng.idle  # heap fully drained (dead entries reaped)
 
     @settings(max_examples=40, deadline=None)
     @given(flows=FLOWS, windows=WINDOWS, seed=st.integers(0, 3))
@@ -212,25 +206,16 @@ class TestConservation:
                                          t_end=t0 + length, factor=factor))
         specs.append(NicJitter(node=0, t_start=0.0, t_end=0.05,
                                max_extra_latency=1e-5))
-        runs = {}
-        for solver in ("scalar", "vector"):
-            plan = FaultPlan(specs, seed=seed)
-            eng, fab, finish = runs[solver] = drive(flows, faults=plan,
-                                                    solver=solver)
-            check_conserved(fab, flows, finish)
-            assert eng.idle
-        check_solvers_agree(runs["scalar"], runs["vector"])
+        eng, fab, finish = drive(flows, faults=FaultPlan(specs, seed=seed))
+        check_conserved(fab, flows, finish)
+        assert eng.idle
 
     @settings(max_examples=30, deadline=None)
     @given(flows=CHANNEL_FLOWS)
     def test_random_channel_assignment_conserves_per_lane(self, flows):
-        runs = {}
-        for solver in ("scalar", "vector"):
-            eng, fab, finish = runs[solver] = drive_channels(flows,
-                                                             solver=solver)
-            check_channels_conserved(fab, flows, finish)
-            assert eng.idle
-        check_solvers_agree(runs["scalar"], runs["vector"])
+        eng, fab, finish = drive_channels(flows)
+        check_channels_conserved(fab, flows, finish)
+        assert eng.idle
 
     @settings(max_examples=30, deadline=None)
     @given(flows=CHANNEL_FLOWS, windows=WINDOWS, seed=st.integers(0, 3))
@@ -242,32 +227,15 @@ class TestConservation:
                                          t_end=t0 + length, factor=factor))
         specs.append(NicJitter(node=0, t_start=0.0, t_end=0.05,
                                max_extra_latency=1e-5))
-        runs = {}
-        for solver in ("scalar", "vector"):
-            plan = FaultPlan(specs, seed=seed)
-            eng, fab, finish = runs[solver] = drive_channels(
-                flows, faults=plan, solver=solver)
-            check_channels_conserved(fab, flows, finish)
-            assert eng.idle
-        check_solvers_agree(runs["scalar"], runs["vector"])
-
-    @settings(max_examples=15, deadline=None)
-    @given(flows=FLOWS)
-    def test_auto_solver_matches_scalar(self, flows):
-        # "auto" only vectorizes recomputes above its flow threshold, so a
-        # run mixes both code paths — it must still match scalar exactly.
-        check_solvers_agree(drive(flows, solver="scalar"),
-                            drive(flows, solver="auto"))
+        eng, fab, finish = drive_channels(
+            flows, faults=FaultPlan(specs, seed=seed))
+        check_channels_conserved(fab, flows, finish)
+        assert eng.idle
 
     @settings(max_examples=20, deadline=None)
     @given(flows=FLOWS)
     def test_runs_are_deterministic(self, flows):
-        eng1, fab1, finish1 = drive(flows)
-        eng2, fab2, finish2 = drive(flows)
-        assert finish1 == finish2
-        assert eng1.events_processed == eng2.events_processed
-        assert eng1.events_cancelled == eng2.events_cancelled
-        assert eng1.peak_heap_size == eng2.peak_heap_size
+        check_runs_agree(drive(flows), drive(flows))
 
 
 class TestHeapHygieneUnderLoad:

@@ -90,15 +90,6 @@ def test_recording_is_trace_invisible():
                               f"{scenario}+record")
 
 
-def test_recording_solver_choice_is_trace_invisible():
-    """The vectorized fair-share solver is timing-neutral on golden runs."""
-    expected = json.loads(FIXTURES["healthy"].read_text())
-    res = run_ssc(2, 8, "optimized", n_dup=2, ppn=2, iterations=1,
-                  trace=True, solver="vector")
-    _assert_span_for_span(res.world.trace.to_jsonable(), expected,
-                          "healthy+vector-solver")
-
-
 def test_fixture_round_trips_through_trace_records():
     """records_from_jsonable is the exact inverse of to_jsonable."""
     from repro.sim.trace import Trace

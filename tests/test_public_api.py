@@ -52,6 +52,19 @@ class TestDocumentation:
             sig = inspect.signature(fn)
             assert "params" in sig.parameters, fn.__name__
             assert "machine" in sig.parameters, fn.__name__
+        # The registered-kernel runners expose every shared option of the
+        # one driver (PPN rides in its Candidate argument) plus only their
+        # own knobs — no runner grows an option the others lack.
+        from repro.kernels import run_kernel
+
+        def kwonly(fn):
+            return {name for name, p in
+                    inspect.signature(fn).parameters.items()
+                    if p.kind is inspect.Parameter.KEYWORD_ONLY}
+        shared = kwonly(run_kernel) | {"ppn"}
+        assert kwonly(run_ssc) == shared | {"n_dup"}
+        assert kwonly(run_ssc25d) == shared | {"n_dup"}
+        assert kwonly(run_summa) == shared | {"algorithm", "colors", "depth"}
 
 
 class TestResultDataclasses:
