@@ -51,9 +51,21 @@ choices, code paths taken).  Concretely:
   simulation.
 * FIFO compute queues (:class:`~repro.mpi.progress.ProgressEngine`) are
   max-plus only while submissions stay in arrival order; the recorder
-  stores consecutive-arrival order guards and :func:`replay` verifies them
-  under the new constants, refusing when a perturbation would reorder a
-  queue.
+  stores consecutive-arrival order guards and :func:`replay` verifies each
+  one under the new constants the moment both of its ends are known,
+  refusing when a perturbation would reorder a queue.
+
+Storage
+-------
+A recording is three append-only tables of typed columns
+(:class:`Columns`: one ``array`` per column) — nodes, flows, guards — plus
+the marks and the run's constants.  A graph of any size is therefore a
+fixed handful of Python objects: nothing per node for the cyclic GC to
+walk, 17 bytes per node (28 per flow, 8 per guard), and a JSON artifact
+that is a few long arrays.
+``K_MAX`` is *binary* so that every node fits the same four columns and
+``join2`` is one dict probe on a packed-int key; a wide join is a chain of
+binary nodes.
 
 See ``docs/perf.md`` for the benchmark (``perf_sim_core`` section
 ``replay``) and ``docs/tuning.md`` for the tuner integration.
@@ -62,6 +74,7 @@ See ``docs/perf.md`` for the benchmark (``perf_sim_core`` section
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, fields, field
 
 from repro.netmodel.params import MachineParams, NetworkParams
@@ -83,48 +96,82 @@ REPLAY_SAFE_FIELDS = frozenset({
 #: Node kinds of the recorded max-plus graph.
 K_CONST, K_SHIFT, K_MAX, K_FLOW = 0, 1, 2, 3
 
-#: Serialized-recording schema.  v2 adds the ``machine`` constants so a
-#: loaded recording can enforce its full validity envelope in a fresh
-#: process; v1 artifacts (no machine) still load with ``machine=None``.
-DUMP_SCHEMA = 2
+#: Serialized-recording schema.  v3 stores the graph as typed columns
+#: (binary max nodes); v1/v2 artifacts held per-node operand lists and are
+#: refused — a recording is cheap to make again.
+DUMP_SCHEMA = 3
 
 
 class ReplayInvalid(SimulationError):
     """The recorded graph cannot reproduce the requested run exactly."""
 
 
+class Columns:
+    """An append-only table stored as parallel typed columns.
+
+    One :class:`array.array` per named column, so a table of any length is
+    the same few Python objects.  Rows are appended column by column
+    (``t.lo.append(..); t.hi.append(..)``); ``len(t)`` is the row count.
+    """
+
+    def __init__(self, **typecodes: str):
+        for name, typecode in typecodes.items():
+            setattr(self, name, array(typecode))
+
+    def __len__(self) -> int:
+        return len(next(iter(vars(self).values())))
+
+    def to_jsonable(self) -> dict:
+        return {name: col.tolist() for name, col in vars(self).items()}
+
+    def fill(self, doc: dict) -> None:
+        """Load every column from :meth:`to_jsonable` output."""
+        try:
+            for name, col in vars(self).items():
+                col.fromlist(doc[name])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ReplayInvalid(f"malformed recording column: {exc!r}") from exc
+        if len({len(col) for col in vars(self).values()}) != 1:
+            raise ReplayInvalid(
+                f"torn recording: columns {sorted(vars(self))} differ in length"
+            )
+
+
 class GraphRecorder:
     """Grows the max-plus event graph during a recorded simulation run.
 
-    Node ``i`` is described by ``kinds[i]`` plus operands ``a[i]`` /
-    ``b[i]``:
+    Node ``i`` is row ``i`` of :attr:`nodes`:
 
-    =========  ======================  =====================================
-    kind       a / b                   value
-    =========  ======================  =====================================
-    K_CONST    time / —                ``a``
-    K_SHIFT    pred node / delta       ``value(a) + b``
-    K_MAX      tuple of pred nodes     ``max(value(p) for p in a)``
-    K_FLOW     flow index / —          completion time of ``flows[a]``
-    =========  ======================  =====================================
+    =========  ===========  ======  ===========  ===========================
+    kind       a            x       b            value
+    =========  ===========  ======  ===========  ===========================
+    K_CONST    —            time    —            ``x``
+    K_SHIFT    pred node    delta   —            ``value(a) + x``
+    K_MAX      lower pred   —       higher pred  ``max(value(a), value(b))``
+    K_FLOW     flow index   —       —            completion of flow row ``a``
+    =========  ===========  ======  ===========  ===========================
+
+    :attr:`flows` rows are ``(src, dst, nbytes, extra, post)`` — endpoints,
+    size, protocol latency and the node at which the transfer is posted;
+    :attr:`guards` rows are FIFO order guards ``value(lo) <= value(hi)``.
 
     Nodes are hash-consed (``shift(x, 0.0)`` is ``x``, ``join2(x, x)`` is
-    ``x``, nested maxes flatten), so the graph stays proportional to the
-    number of *distinct* causal facts, not to how often they are cited.
+    ``x``, ``join2(max(x, y), x)`` is ``max(x, y)``), so the graph stays
+    proportional to the number of *distinct* causal facts, not to how often
+    they are cited.  The hash-cons tables only serve the run being
+    recorded; :meth:`seal` drops them.
     """
 
     def __init__(self, cluster=None, params: NetworkParams | None = None,
                  machine: MachineParams | None = None):
-        self.kinds: list[int] = []
-        self.a: list = []
-        self.b: list = []
-        self._cons: dict = {}
-        #: (src_rank, dst_rank, nbytes, extra_latency, post_node) per flow.
-        self.flows: list[tuple] = []
+        self.nodes = Columns(kind="b", a="i", x="d", b="i")
+        self.flows = Columns(src="i", dst="i", nbytes="d", extra="d", post="i")
+        self.guards = Columns(lo="i", hi="i")
+        self._const_cons: dict[float, int] = {}
+        self._shift_cons: dict[float, dict[int, int]] = {}  # delta -> pred ->
+        self._max_cons: dict[int, int] = {}                 # a << 32 | b ->
         #: user-visible labels -> node (kernel timestamps, proc completions).
         self.marks: dict = {}
-        #: FIFO order guards: replay requires value(lo) <= value(hi).
-        self.guards: list[tuple[int, int]] = []
         self.invalid_reason: str | None = None
         self.cluster = cluster
         self.params = params or NetworkParams()
@@ -136,29 +183,37 @@ class GraphRecorder:
         #: one recording share it.
         self._plan = None
 
+    @property
+    def kinds(self) -> array:
+        """The node-kind column (``len(rec.kinds)`` is the node count)."""
+        return self.nodes.kind
+
     # -- node constructors --------------------------------------------------
 
-    def _node(self, kind: int, a, b=None) -> int:
-        idx = len(self.kinds)
-        self.kinds.append(kind)
-        self.a.append(a)
-        self.b.append(b)
+    def _node(self, kind: int, a: int, x: float, b: int) -> int:
+        nodes = self.nodes
+        idx = len(nodes.kind)
+        nodes.kind.append(kind)
+        nodes.a.append(a)
+        nodes.x.append(x)
+        nodes.b.append(b)
         return idx
 
     def const(self, t: float) -> int:
-        key = (K_CONST, t)
-        idx = self._cons.get(key)
+        idx = self._const_cons.get(t)
         if idx is None:
-            self._cons[key] = idx = self._node(K_CONST, t)
+            self._const_cons[t] = idx = self._node(K_CONST, -1, t, -1)
         return idx
 
     def shift(self, pred: int, delta: float) -> int:
         if delta == 0.0:
             return pred  # x + 0.0 == x for the non-negative times used here
-        key = (K_SHIFT, pred, delta)
-        idx = self._cons.get(key)
+        by_pred = self._shift_cons.get(delta)
+        if by_pred is None:
+            self._shift_cons[delta] = by_pred = {}
+        idx = by_pred.get(pred)
         if idx is None:
-            self._cons[key] = idx = self._node(K_SHIFT, pred, delta)
+            by_pred[pred] = idx = self._node(K_SHIFT, pred, delta, -1)
         return idx
 
     def join2(self, x: int | None, y: int | None) -> int | None:
@@ -167,36 +222,55 @@ class GraphRecorder:
             return y
         if y is None:
             return x
-        preds: set[int] = set()
-        for n in (x, y):
-            if self.kinds[n] == K_MAX:
-                preds.update(self.a[n])
-            else:
-                preds.add(n)
-        if len(preds) == 1:
-            return next(iter(preds))
-        key = (K_MAX, frozenset(preds))
-        idx = self._cons.get(key)
+        if x > y:
+            x, y = y, x
+        key = x << 32 | y
+        idx = self._max_cons.get(key)
         if idx is None:
-            self._cons[key] = idx = self._node(K_MAX, tuple(sorted(preds)))
+            nodes = self.nodes
+            # Operands precede their node, so only y can already contain x:
+            # max(max(x, z), x) is the existing node, and a chain of joins
+            # against the same operand does not grow.
+            if nodes.kind[y] == K_MAX and (nodes.a[y] == x or nodes.b[y] == x):
+                idx = y
+            else:
+                idx = self._node(K_MAX, x, 0.0, y)
+            self._max_cons[key] = idx
         return idx
 
     def flow(self, src_rank: int, dst_rank: int, nbytes: float,
              extra_latency: float, post_node: int) -> int:
-        fidx = len(self.flows)
-        self.flows.append((src_rank, dst_rank, nbytes, extra_latency, post_node))
-        return self._node(K_FLOW, fidx)
+        flows = self.flows
+        fidx = len(flows.src)
+        flows.src.append(src_rank)
+        flows.dst.append(dst_rank)
+        flows.nbytes.append(nbytes)
+        flows.extra.append(extra_latency)
+        flows.post.append(post_node)
+        return self._node(K_FLOW, fidx, 0.0, -1)
 
     def mark(self, key, node: int) -> None:
         self.marks[key] = node
 
     def guard(self, lo: int, hi: int) -> None:
         if lo != hi:
-            self.guards.append((lo, hi))
+            self.guards.lo.append(lo)
+            self.guards.hi.append(hi)
 
     def invalidate(self, reason: str) -> None:
         if self.invalid_reason is None:
             self.invalid_reason = reason
+
+    def seal(self) -> None:
+        """The run is over: drop the hash-cons tables.
+
+        They are recording-time accelerators only (about as large as the
+        graph itself); everything that consumes a recording — replay,
+        serialization, the tuner's graph cache — seals it first.
+        """
+        self._const_cons.clear()
+        self._shift_cons.clear()
+        self._max_cons.clear()
 
     # -- validity -----------------------------------------------------------
 
@@ -226,6 +300,7 @@ class GraphRecorder:
     # -- serialization (CI artifact / offline inspection) -------------------
 
     def to_jsonable(self) -> dict:
+        self.seal()
         placement = None
         if self.cluster is not None:
             placement = [self.cluster.node_of(r)
@@ -234,13 +309,11 @@ class GraphRecorder:
             "schema": DUMP_SCHEMA,
             "valid": self.valid,
             "invalid_reason": self.invalid_reason,
-            "kinds": list(self.kinds),
-            "a": [list(x) if isinstance(x, tuple) else x for x in self.a],
-            "b": list(self.b),
-            "flows": [list(f) for f in self.flows],
+            "nodes": self.nodes.to_jsonable(),
+            "flows": self.flows.to_jsonable(),
+            "guards": self.guards.to_jsonable(),
             "marks": {repr(k): v for k, v in sorted(
                 self.marks.items(), key=lambda kv: repr(kv[0]))},
-            "guards": [list(g) for g in self.guards],
             "placement": placement,
             "params": {f.name: getattr(self.params, f.name)
                        for f in fields(NetworkParams)},
@@ -261,9 +334,41 @@ class ReplayResult:
 
     final_time: float                 #: natural finish (max event time)
     marks: dict = field(default_factory=dict)  #: label -> resolved time
-    flow_times: list = field(default_factory=list)  #: per recorded flow
     n_nodes: int = 0
     n_flows: int = 0
+    _values: list = field(default_factory=list, repr=False)
+    _flow_node: list = field(default_factory=list, repr=False)
+
+    @property
+    def flow_times(self) -> list:
+        """Completion time per recorded flow (built on request)."""
+        values = self._values
+        return [values[node] for node in self._flow_node]
+
+
+_NEG_INF = float("-inf")
+
+
+def _adjacency(keys: list[int], items: list[int], n: int):
+    """Flat ``key -> items`` adjacency for the replay loop.
+
+    Returns ``(at, out)``: ``at[k]`` is the offset in ``out`` of ``k``'s
+    items (0 when it has none) and each group ends with ``-1`` — two flat
+    int lists however many keys there are.
+    """
+    at = [0] * n
+    out = [-1]
+    last = -1
+    for j in sorted(range(len(keys)), key=keys.__getitem__):
+        k = keys[j]
+        if k != last:
+            if last >= 0:
+                out.append(-1)
+            at[k] = len(out)
+            last = k
+        out.append(items[j])
+    out.append(-1)
+    return at, out
 
 
 def _fold_static(rec: GraphRecorder):
@@ -271,66 +376,98 @@ def _fold_static(rec: GraphRecorder):
 
     Everything here is parameter-independent: which nodes are static, their
     folded values (consts and deltas are recorded, not re-priced), the
-    dependent lists of flow-blocked nodes, and which flows each post node
-    releases.  Replays copy the two mutable arrays and run only the dynamic
-    propagation.
+    dependents of flow-blocked nodes, which flows each post node releases
+    and which guards each node completes.  Replays copy the two mutable
+    lists and run only the dynamic propagation.  The plan is flat lists of
+    numbers (see :func:`_adjacency`): like the recording it hangs off, it
+    holds no per-node container.
     """
     if rec._plan is not None:
         return rec._plan
-    kinds, A, B = rec.kinds, rec.a, rec.b
+    rec.seal()
+    nodes = rec.nodes
+    kinds, A, X, B = (col.tolist() for col in
+                      (nodes.kind, nodes.a, nodes.x, nodes.b))
     n = len(kinds)
     values: list = [None] * n
-    nun = [0] * n                       # unresolved-predecessor counts
-    deps: list = [None] * n             # node -> dependent nodes
-    posts_by_node: dict[int, list[int]] = {}   # post node -> flow indices
-    flow_node: list = [None] * len(rec.flows)  # flow index -> K_FLOW node
-
-    def add_dep(p: int, i: int) -> None:
-        dl = deps[p]
-        if dl is None:
-            deps[p] = [i]
-        else:
-            dl.append(i)
+    nun = [0] * n                  # unresolved-predecessor counts
+    shift: list = [None] * n       # delta of a dynamic K_SHIFT, else None
+    flow_node = [0] * len(rec.flows)   # flow index -> K_FLOW node
+    dep_src: list[int] = []        # dynamic edges pred -> dependent
+    dep_dst: list[int] = []
 
     # The pass folds every node whose predecessors are all static
     # (predecessors always precede their node in creation order); nodes
-    # blocked behind a flow get an unresolved-predecessor count instead.
-    for i in range(n):
-        k = kinds[i]
-        if k == K_CONST:
-            values[i] = A[i]
+    # blocked behind a flow get an unresolved-predecessor count instead, and
+    # a dynamic max starts from its static operand (or -inf).
+    for i, k in enumerate(kinds):
+        if k == K_MAX:
+            p, q = A[i], B[i]
+            if nun[p]:
+                dep_src.append(p)
+                dep_dst.append(i)
+                if nun[q]:
+                    dep_src.append(q)
+                    dep_dst.append(i)
+                    nun[i] = 2
+                    values[i] = _NEG_INF
+                else:
+                    nun[i] = 1
+                    values[i] = values[q]
+            elif nun[q]:
+                dep_src.append(q)
+                dep_dst.append(i)
+                nun[i] = 1
+                values[i] = values[p]
+            else:
+                pv, qv = values[p], values[q]
+                values[i] = qv if qv > pv else pv
         elif k == K_SHIFT:
             p = A[i]
-            if nun[p] == 0:
-                values[i] = values[p] + B[i]
-            else:
+            if nun[p]:
+                dep_src.append(p)
+                dep_dst.append(i)
                 nun[i] = 1
-                add_dep(p, i)
-        elif k == K_MAX:
-            cnt = 0
-            m = None
-            for p in A[i]:
-                if nun[p] == 0:
-                    pv = values[p]
-                    if m is None or pv > m:
-                        m = pv
-                else:
-                    cnt += 1
-                    add_dep(p, i)
-            nun[i] = cnt
-            values[i] = m  # final when cnt == 0, else the partial max
-        else:  # K_FLOW
+                shift[i] = X[i]
+            else:
+                values[i] = values[p] + X[i]
+        elif k == K_FLOW:
             nun[i] = 1
             flow_node[A[i]] = i
-            post = rec.flows[A[i]][4]
-            posts_by_node.setdefault(post, []).append(A[i])
+        else:
+            values[i] = X[i]
 
-    # Dense node -> released-flows array: the resolve loop probes this for
-    # every resolved node, and a list index beats a dict miss.
-    posts_arr: list = [None] * n
-    for post, fis in posts_by_node.items():
-        posts_arr[post] = fis
-    rec._plan = (values, nun, deps, posts_arr, flow_node)
+    # What resolving a dynamic node triggers besides its dependents, packed
+    # as ``target << 2 | code``: 0 posts flow ``target``; 1 / 2 check an
+    # order guard against node ``target``, which must not come earlier /
+    # later.  A guard is attached to its dynamic end(s) only; the replay
+    # checks it when the second end resolves.
+    static_posts: list[int] = []
+    act_node: list[int] = []
+    act_code: list[int] = []
+    for fi, post in enumerate(rec.flows.post):
+        if nun[post]:
+            act_node.append(post)
+            act_code.append(fi << 2)
+        else:
+            static_posts.append(fi)
+    for lo, hi in zip(rec.guards.lo, rec.guards.hi):
+        if nun[lo]:
+            act_node.append(lo)
+            act_code.append(hi << 2 | 1)
+        if nun[hi]:
+            act_node.append(hi)
+            act_code.append(lo << 2 | 2)
+        elif not nun[lo] and values[lo] > values[hi]:
+            raise ReplayInvalid(
+                f"order guard fails on static times ({values[lo]} > "
+                f"{values[hi]}); the recording is inconsistent"
+            )
+    done_nodes = [node for key, node in rec.marks.items()
+                  if isinstance(key, tuple) and key and key[0] == "proc_done"]
+    rec._plan = (values, nun, shift, *_adjacency(dep_src, dep_dst, n),
+                 *_adjacency(act_node, act_code, n), static_posts, flow_node,
+                 done_nodes)
     return rec._plan
 
 
@@ -343,131 +480,142 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
     flow nodes are resolved by a fresh
     :class:`~repro.netmodel.fabric.Fabric` fed the recorded transfers at
     their graph-resolved post times.  Raises :class:`ReplayInvalid` when
-    the recording's envelope is violated.
+    the recording's envelope is violated — for a reordered FIFO queue, at
+    the first order guard whose two ends have resolved the wrong way round,
+    not after the whole mini-simulation.
 
-    With a ``deadline``, the replay **aborts early**: the moment any
-    ``proc_done`` mark resolves past the deadline — statically, or during
-    flow propagation inside the fabric mini-simulation — it raises
-    :class:`~repro.sim.engine.DeadlineExceeded` instead of folding the rest
-    of the graph.  This mirrors the live simulator's bounded
-    ``World.run(until=...)`` contract: a candidate that cannot beat the
-    incumbent costs only the replay work up to the proof, not a full solve.
+    With a ``deadline`` the replay mirrors the live simulator's bounded
+    ``World.run(until=...)``: the mini-simulation stops at the deadline,
+    and if a rank program (a ``proc_done`` mark) is unfinished by then it
+    raises :class:`~repro.sim.engine.DeadlineExceeded` instead of solving
+    the rest — a candidate that cannot beat the incumbent costs only the
+    replay work up to the proof.  That verdict is issued only by a timeline
+    whose order guards hold up to the deadline: the replayed times equal
+    the live ones until the first queue reorder, so a reorder before the
+    deadline raises :class:`ReplayInvalid` and never a false prune.
     """
     from repro.netmodel.fabric import Fabric
 
     recording.check_compatible(params, machine)
     rec = recording
-    kinds, B = rec.kinds, rec.b
-    n = len(kinds)
-    flows = rec.flows
-    values0, nun0, deps, posts_arr, flow_node = _fold_static(rec)
-    values = values0.copy()
-    nun = nun0.copy()
-
-    # Early-abort bookkeeping: the set of graph nodes whose resolution
-    # proves a rank program's completion time.  Static times are
-    # parameter-independent (recorded consts + deltas), so statically
-    # resolved completions are checked before the fabric even spins up.
-    done_nodes: frozenset | None = None
-    if deadline is not None:
-        done_nodes = frozenset(
-            node for key, node in rec.marks.items()
-            if isinstance(key, tuple) and key and key[0] == "proc_done"
-        )
-        for node in done_nodes:
-            if nun[node] == 0 and values[node] is not None \
-                    and values[node] > deadline:
-                raise DeadlineExceeded(
-                    f"replayed run exceeded deadline {deadline:.6g}s "
-                    f"(rank program finished at {values[node]:.6g}s; "
-                    f"aborted before fabric replay)"
-                )
-
-    eng = Engine()
     cluster = rec.cluster
     if cluster is None:
         raise ReplayInvalid("recording carries no cluster topology")
+    (values0, nun0, shift, dep_at, deps, act_at, acts, static_posts,
+     flow_node, done_nodes) = _fold_static(rec)
+    values = values0.copy()
+    nun = nun0.copy()
+    flows = rec.flows
+    src, dst, nbytes, extra = flows.src, flows.dst, flows.nbytes, flows.extra
+
+    eng = Engine()
     fab = Fabric(eng, cluster, params or rec.params)
     schedule_at = eng.schedule_at
     transfer_cb = fab.transfer_cb
 
     def post_flow(fi: int, when: float) -> None:
-        src, dst, nbytes, extra, _post = flows[fi]
         if when < eng.now:
             raise ReplayInvalid(
                 f"non-causal flow post: t={when} < now={eng.now}"
             )
-        schedule_at(when, transfer_cb, src, dst, nbytes, extra, flow_done, fi)
+        schedule_at(when, transfer_cb, src[fi], dst[fi], nbytes[fi],
+                    extra[fi], flow_done, fi)
+
+    def reordered(lo: int, hi: int) -> ReplayInvalid:
+        return ReplayInvalid(
+            "perturbation reorders a FIFO compute queue "
+            f"({values[lo]} > {values[hi]}); falling back to simulation"
+        )
 
     # Propagation runs once per flow completion — the hot loop of a replay.
     # Everything it touches is bound as a default argument: locals, not
     # closure cells.  Iterative, because recursion could exceed the stack on
-    # deep shift chains.
-    def flow_done(fi: int, values=values, nun=nun, deps=deps,
-                  posts_arr=posts_arr, kinds=kinds, B=B,
-                  flow_node=flow_node, K_SHIFT=K_SHIFT,
-                  done_nodes=done_nodes, deadline=deadline) -> None:
-        stack = [(flow_node[fi], eng.now)]
+    # deep shift chains.  A node's value is final when it is pushed; its
+    # unresolved count drops to zero when it is popped.
+    def flow_done(fi: int, values=values, nun=nun, shift=shift,
+                  dep_at=dep_at, deps=deps, act_at=act_at, acts=acts,
+                  flow_node=flow_node) -> None:
+        i = flow_node[fi]
+        values[i] = eng.now
+        stack = [i]
         while stack:
-            i, v = stack.pop()
-            values[i] = v
+            i = stack.pop()
+            v = values[i]
             nun[i] = 0
-            if done_nodes is not None and i in done_nodes and v > deadline:
-                # First resolved completion past the incumbent: stop the
-                # mini-simulation here.  Engine.run propagates callback
-                # exceptions, so this unwinds straight out of replay().
-                raise DeadlineExceeded(
-                    f"replayed run exceeded deadline {deadline:.6g}s "
-                    f"(rank program finished at {v:.6g}s; replay aborted)"
-                )
-            fis = posts_arr[i]
-            if fis is not None:
-                for pfi in fis:
-                    post_flow(pfi, v)
-            dl = deps[i]
-            if not dl:
-                continue
-            for d in dl:
-                if kinds[d] == K_SHIFT:
-                    stack.append((d, v + B[d]))
-                else:  # K_MAX
-                    pm = values[d]
-                    if pm is None or v > pm:
-                        values[d] = v
-                    nd = nun[d] - 1
-                    nun[d] = nd
-                    if nd == 0:
-                        stack.append((d, values[d]))
+            j = act_at[i]
+            if j:
+                a = acts[j]
+                while a >= 0:
+                    t = a >> 2
+                    code = a & 3
+                    if code == 0:
+                        post_flow(t, v)
+                    elif nun[t] == 0:
+                        # Second end of an order guard: refuse here, not
+                        # after the rest of the mini-simulation.
+                        if code == 1:
+                            if v > values[t]:
+                                raise reordered(i, t)
+                        elif values[t] > v:
+                            raise reordered(t, i)
+                    j += 1
+                    a = acts[j]
+            j = dep_at[i]
+            if j:
+                d = deps[j]
+                while d >= 0:
+                    delta = shift[d]
+                    if delta is not None:
+                        values[d] = v + delta
+                        stack.append(d)
+                    else:  # K_MAX: fold into the running maximum
+                        if v > values[d]:
+                            values[d] = v
+                        left = nun[d] - 1
+                        nun[d] = left
+                        if left == 0:
+                            stack.append(d)
+                    j += 1
+                    d = deps[j]
 
     # Kick off every flow whose post time resolved statically; the rest
     # cascade from flow completions inside the mini-simulation.
-    for post, fis in enumerate(posts_arr):
-        if fis is not None and nun[post] == 0:
-            for fi in fis:
-                post_flow(fi, values[post])
-    eng.run()
+    post = flows.post
+    for fi in static_posts:
+        post_flow(fi, values[post[fi]])
+    eng.run(until=deadline)
+    if deadline is not None:
+        late = [d for d in done_nodes if nun[d] or values[d] > deadline]
+        if late:
+            # Replayed and live times agree up to the first queue reorder.
+            # Guards with both ends resolved were checked on the way; one
+            # whose later arrival is in but whose earlier one is still
+            # missing at the deadline is a reorder before the deadline.
+            for lo, hi in zip(rec.guards.lo, rec.guards.hi):
+                if nun[lo] and not nun[hi] and values[hi] <= deadline:
+                    raise ReplayInvalid(
+                        "perturbation reorders a FIFO compute queue before "
+                        "the deadline; falling back to simulation"
+                    )
+            raise DeadlineExceeded(
+                f"replayed run exceeded deadline {deadline:.6g}s: "
+                f"{len(late)} rank program(s) unfinished"
+            )
+        eng.run()
 
-    unresolved = sum(1 for i in range(n) if nun[i] != 0)
+    n = len(values)
+    unresolved = n - nun.count(0)
     if unresolved:
         raise ReplayInvalid(
             f"{unresolved} graph node(s) never resolved (incomplete recording)"
         )
-    for lo, hi in rec.guards:
-        if values[lo] > values[hi]:
-            raise ReplayInvalid(
-                "perturbation reorders a FIFO compute queue "
-                f"({values[lo]} > {values[hi]}); falling back to simulation"
-            )
-    final = eng.now
-    for v in values:
-        if v is not None and v > final:
-            final = v
     return ReplayResult(
-        final_time=final,
+        final_time=max(values, default=0.0),
         marks={k: values[node] for k, node in rec.marks.items()},
-        flow_times=[values[fn] for fn in flow_node],
         n_nodes=n,
-        n_flows=len(rec.flows),
+        n_flows=len(flows),
+        _values=values,
+        _flow_node=flow_node,
     )
 
 
@@ -482,8 +630,8 @@ def replay_kernel(recording: GraphRecorder,
     kernel computes them (per-rank ``t1 - t0``, max over ranks per
     iteration, mean over iterations) and raises :class:`DeadlineExceeded`
     iff the live bounded run would have left a rank program unfinished at
-    ``deadline`` — aborting the replay at the first such proof instead of
-    folding the whole graph (see :func:`replay`).
+    ``deadline`` — stopping the replay at the deadline instead of solving
+    the whole graph (see :func:`replay`).
     """
     meta = recording.meta
     try:
@@ -549,7 +697,8 @@ def replay_kernel_grid(
 def dump_recording(recording: GraphRecorder, path) -> None:
     """Write the recorded-graph artifact (CI uploads this for inspection)."""
     with open(path, "w") as fh:
-        json.dump(recording.to_jsonable(), fh, indent=1, default=repr)
+        # dumps, not dump: only the one-shot form uses the C encoder.
+        fh.write(json.dumps(recording.to_jsonable(), default=repr))
         fh.write("\n")
 
 
@@ -558,18 +707,18 @@ def load_recording(source) -> GraphRecorder:
 
     ``source`` is a path (anything :func:`open` accepts) or an
     already-parsed dict from :meth:`GraphRecorder.to_jsonable`.  The
-    reconstruction is exact: node operands regain their tuple form
-    (``K_MAX`` predecessor sets), mark keys are parsed back from their
-    ``repr`` (they are tuples of strings and ints), and floats round-trip
-    bit-for-bit through JSON's ``repr``-based encoding — so a replay of a
-    loaded recording produces the same times as a replay of the original.
+    reconstruction is exact: every column regains its typed form, mark
+    keys are parsed back from their ``repr`` (they are tuples of strings
+    and ints), and floats round-trip bit-for-bit through JSON's
+    ``repr``-based encoding — so a replay of a loaded recording produces
+    the same times as a replay of the original.
 
     This is what makes replay reuse *cross-process*: a tuning service can
     persist each scored candidate's graph next to the tuning db
     (:class:`repro.tune.graphstore.GraphStore`) and a fresh process scores
     warm-started shortlists through :func:`replay` instead of full
-    simulation.  Schema 1 artifacts (no machine constants) load with
-    ``machine=None``; anything else raises :class:`ReplayInvalid`.
+    simulation.  Artifacts of another schema (the per-node lists of v1/v2)
+    and torn or malformed columns raise :class:`ReplayInvalid`.
     """
     import ast
 
@@ -581,10 +730,10 @@ def load_recording(source) -> GraphRecorder:
         with open(source) as fh:
             doc = json.load(fh)
     schema = doc.get("schema")
-    if schema not in (1, DUMP_SCHEMA):
+    if schema != DUMP_SCHEMA:
         raise ReplayInvalid(
-            f"recording artifact has schema {schema!r}, expected 1 or "
-            f"{DUMP_SCHEMA}; re-dump it"
+            f"recording artifact has schema {schema!r}, expected "
+            f"{DUMP_SCHEMA}; re-record it"
         )
     params = NetworkParams(**doc["params"])
     machine_doc = doc.get("machine")
@@ -592,18 +741,12 @@ def load_recording(source) -> GraphRecorder:
     placement = doc.get("placement")
     cluster = Cluster(placement) if placement else None
     rec = GraphRecorder(cluster=cluster, params=params, machine=machine)
-    kinds = [int(k) for k in doc["kinds"]]
-    rec.kinds = kinds
-    rec.a = [tuple(x) if isinstance(x, list) else x for x in doc["a"]]
-    rec.b = list(doc["b"])
-    rec.flows = [tuple(f) for f in doc["flows"]]
-    rec.guards = [tuple(g) for g in doc["guards"]]
+    for table in ("nodes", "flows", "guards"):
+        getattr(rec, table).fill(doc.get(table))
     rec.marks = {ast.literal_eval(k): v for k, v in doc["marks"].items()}
     rec.meta = dict(doc.get("meta", {}))
     if not doc.get("valid", True):
         rec.invalidate(doc.get("invalid_reason") or "marked invalid on dump")
-    # The hash-consing table is a recording-time accelerator only; a loaded
-    # recording is sealed, so it stays empty.
     return rec
 
 

@@ -15,8 +15,11 @@ SHA-256 of the workload key (keys contain ``:`` and arbitrary placement
 strings — hashing keeps filenames portable).  Each file carries the
 workload key in clear for inspection::
 
-    {"schema": 1, "workload": "ssc:n64:r8:m2x2x2:ppn1:block",
+    {"schema": 2, "workload": "ssc:n64:r8:m2x2x2:ppn1:block",
      "graphs": {"<candidate key>": {...to_jsonable()...}}}
+
+written compactly (a graph is a few long number arrays; indenting them
+would put one number per line and force the pure-Python JSON encoder).
 
 Writes are atomic (write-to-temp + ``os.replace``) so concurrent processes
 sharing one store never observe a torn file; last-writer-wins is safe
@@ -33,8 +36,10 @@ import pathlib
 
 from repro.sim.replay import GraphRecorder, ReplayInvalid, load_recording
 
-#: On-disk schema of a per-workload graph file.
-GRAPHSTORE_SCHEMA = 1
+#: On-disk schema of a per-workload graph file.  v2 holds column-form
+#: recordings (:data:`repro.sim.replay.DUMP_SCHEMA` 3); a v1 file is one
+#: whole-file miss.
+GRAPHSTORE_SCHEMA = 2
 
 #: Filename stem length (hex chars of the workload-key SHA-256).
 _STEM_LEN = 16
@@ -108,7 +113,7 @@ class GraphStore:
         }
         tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
         with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=1, default=repr, sort_keys=True)
+            fh.write(json.dumps(doc, default=repr, sort_keys=True))
             fh.write("\n")
         os.replace(tmp, path)
         return path

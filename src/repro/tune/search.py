@@ -102,6 +102,9 @@ class SearchOutcome:
     replays: int = 0                  #: shortlist scorings served by replay
     replay_aborts: int = 0            #: replays cut short by the deadline
     interpolated: bool = False        #: stage 2 ran on a seeded shortlist
+    #: Recordings this search wrote into ``graph_cache`` (new or replaced),
+    #: by candidate key.
+    recorded: dict = field(default_factory=dict)
 
 
 def _sample(cands: list[Candidate], limit: int, seed: int) -> list[Candidate]:
@@ -201,6 +204,7 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
     simulations = 0
     replays = 0
     replay_aborts = 0
+    recorded = {}
     incumbent: TraceEntry | None = None
     incumbent_world = None
     for entry in short:
@@ -217,9 +221,9 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
                         machine=machine, deadline=deadline)
                     replays += 1
                 except DeadlineExceeded:
-                    # The replay aborted at the first rank-completion past
-                    # the incumbent (see repro.sim.replay) — it never
-                    # folded the full graph.
+                    # The replay stopped at the incumbent's finish with a
+                    # rank program still running (see repro.sim.replay) —
+                    # it never solved the full graph.
                     entry.status = "pruned-deadline"
                     replays += 1
                     replay_aborts += 1
@@ -233,7 +237,9 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
                         sig, entry.candidate, params, machine,
                         deadline=deadline, record=True)
                     if recg is not None and recg.valid:
+                        recg.seal()
                         graph_cache[cache_key] = recg
+                        recorded[entry.candidate.key] = recg
                 else:
                     kernel_time, world_time = simulate_candidate(
                         sig, entry.candidate, params, machine,
@@ -273,4 +279,4 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
     return SearchOutcome(best=incumbent, default=entries[default.key],
                          trace=trace, simulations=simulations,
                          replays=replays, replay_aborts=replay_aborts,
-                         interpolated=interpolated)
+                         interpolated=interpolated, recorded=recorded)

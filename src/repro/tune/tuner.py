@@ -124,10 +124,10 @@ class Tuner(KernelEntryPoints):
         self.replay = replay
         #: Optional :class:`repro.tune.graphstore.GraphStore` backing the
         #: in-memory graph cache: recorded graphs for a workload are loaded
-        #: from disk on first search and persisted after each search, so a
-        #: *fresh process* warm-starts its shortlist scoring through replay
-        #: instead of full simulation.  Providing a store implies
-        #: ``replay="auto"`` unless the caller forced a mode.
+        #: from disk on first search and persisted after each search that
+        #: recorded one, so a *fresh process* warm-starts its shortlist
+        #: scoring through replay instead of full simulation.  Providing a
+        #: store implies ``replay="auto"`` unless the caller forced a mode.
         self.graph_store = graph_store
         if graph_store is not None and replay == "off":
             self.replay = "auto"
@@ -223,7 +223,7 @@ class Tuner(KernelEntryPoints):
             replay=self.replay, graph_cache=self.graph_cache,
             seed_shortlist=seed_shortlist,
         )
-        self._persist_graphs(sig)
+        self._persist_graphs(sig, outcome.recorded)
         with self._counter_lock:
             self.simulations += outcome.simulations
             self.replays += outcome.replays
@@ -248,15 +248,15 @@ class Tuner(KernelEntryPoints):
                 loaded += 1
         return loaded
 
-    def _persist_graphs(self, sig: WorkloadSignature) -> None:
-        """Write this workload's recorded graphs back to the store."""
-        if self.graph_store is None or self.replay == "off":
-            return
-        wl = sig.workload_key
-        graphs = {ck: g for (w, ck), g in list(self.graph_cache.items())
-                  if w == wl and g.valid}
-        if graphs:
-            self.graph_store.save(wl, graphs)
+    def _persist_graphs(self, sig: WorkloadSignature, recorded: dict) -> None:
+        """Write the graphs this search recorded to the store.
+
+        A search served entirely by replay recorded nothing and costs no
+        I/O.  :meth:`GraphStore.save` merges over the file, which already
+        holds whatever earlier searches and the initial load contributed.
+        """
+        if self.graph_store is not None and recorded:
+            self.graph_store.save(sig.workload_key, recorded)
 
     def _record(self, sig: WorkloadSignature,
                 outcome: SearchOutcome) -> TuningRecord:

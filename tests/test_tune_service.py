@@ -351,6 +351,46 @@ class TestGraphStoreReuse:
         assert not list((tmp_path / "graphs").glob("*.tmp.*"))
 
 
+class _CountingStore(GraphStore):
+    """A GraphStore that counts its ``save`` calls."""
+
+    saves = 0
+
+    def save(self, workload_key, graphs):
+        self.saves += 1
+        return super().save(workload_key, graphs)
+
+
+class TestGraphStorePersistsOnlyNewGraphs:
+    def test_all_replay_retune_saves_nothing(self, tmp_path):
+        store = _CountingStore(tmp_path / "graphs")
+        tuner = Tuner(seed=SEED, graph_store=store)
+        tuner.autotune_ssc(2, 64)
+        assert store.saves == 1 and tuner.simulations > 0
+        # A fresh tuner on the loaded store, new fabric constants: every
+        # shortlist entry replays, nothing is recorded, nothing is written.
+        store.saves = 0
+        fresh = Tuner(seed=SEED, graph_store=store)
+        fresh.autotune_ssc(2, 64, params=NetworkParams(alpha=2e-6))
+        assert fresh.simulations == 0 and fresh.replays > 0
+        assert store.saves == 0
+
+    def test_rerecording_retune_saves_once(self, tmp_path):
+        store = _CountingStore(tmp_path / "graphs")
+        tuner = Tuner(seed=SEED, graph_store=store)
+        tuner.autotune_ssc(2, 64)
+        store.saves = 0
+        # A structural constant changes: every recording is refused, the
+        # shortlist is re-simulated and re-recorded, and the store is
+        # rewritten exactly once — holding the new graphs.
+        tuner.autotune_ssc(2, 64, params=NetworkParams(send_overhead=1e-6))
+        assert tuner.replays == 0
+        assert store.saves == 1
+        wl = signature_for_ssc(2, 64).workload_key
+        assert any(g.params.send_overhead == 1e-6
+                   for g in store.load(wl).values())
+
+
 class TestRecordingRoundtrip:
     def _recording(self):
         from repro.kernels import run_ssc
@@ -369,11 +409,10 @@ class TestRecordingRoundtrip:
     def test_schema_and_shape_validation(self, tmp_path):
         rec = self._recording()
         doc = rec.to_jsonable()
-        assert doc["schema"] == DUMP_SCHEMA
-        bad = dict(doc)
-        bad["schema"] = 99
-        with pytest.raises(ReplayInvalid, match="schema"):
-            load_recording(bad)
+        assert doc["schema"] == DUMP_SCHEMA == 3
+        for other in (2, 99):       # the per-node-list format, the future
+            with pytest.raises(ReplayInvalid, match="schema"):
+                load_recording(dict(doc, schema=other))
 
     def test_machine_params_roundtrip(self):
         from repro.kernels import run_ssc
