@@ -326,8 +326,8 @@ def run_summa(
     ``depth`` defaults to a ``min(2, p)``-panel window for the pipelined
     variants.  When ``params`` is omitted the colored variant builds a
     fabric with ``num_channels = colors``; an explicit ``params`` must
-    already provide enough lanes.  ``record=True`` on a colored run records
-    but marks the graph invalid (multi-channel flows are not replayable).
+    already provide enough lanes.  A recorded colored run replays like any
+    other: every flow row carries its lane.
 
     The keyword options from ``ppn`` on are the shared runner options of
     :func:`repro.kernels.run_kernel`.  Under ``tune`` the tuner picks the

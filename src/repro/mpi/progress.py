@@ -23,8 +23,7 @@ from repro.sim.trace import SpanKind, Trace
 class ProgressEngine:
     """FIFO serializer for one process's MPI-internal processing."""
 
-    __slots__ = ("engine", "rank", "trace", "busy_until", "total_busy", "faults",
-                 "rec_busy", "rec_arr_prev")
+    __slots__ = ("engine", "rank", "trace", "busy_until", "total_busy", "faults")
 
     def __init__(self, engine: Engine, rank: int, trace: Trace | None = None,
                  faults: FaultPlan | None = None):
@@ -34,15 +33,14 @@ class ProgressEngine:
         self.faults = faults
         self.busy_until = 0.0
         self.total_busy = 0.0
-        self.rec_busy = None      # recording: graph node of busy_until
-        self.rec_arr_prev = None  # recording: previous submission's arrival
 
     def _rec_track(self, duration: float):
-        """Recording: thread this task through the FIFO busy chain.
+        """Recording: this submission as a task node of the event graph.
 
-        ``finish = max(arrival, busy_until) + duration`` is max-plus, but
-        only while submissions stay in arrival order — consecutive arrivals
-        become order guards the replayer verifies under new constants.
+        ``finish = max(arrival, busy_until) + duration`` depends on which
+        submissions reached the queue first, and new constants may reorder
+        them — so the graph keeps only (queue, arrival, duration) and the
+        replayer serves the queue itself, as :meth:`submit_cb` does.
         """
         eng = self.engine
         rec = eng.recorder
@@ -51,12 +49,7 @@ class ProgressEngine:
         arr = eng._rec_ctx
         if arr is None:
             arr = rec.const(eng.now)
-        if self.rec_arr_prev is not None:
-            rec.guard(self.rec_arr_prev, arr)
-        self.rec_arr_prev = arr
-        finish = rec.shift(rec.join2(arr, self.rec_busy), duration)
-        self.rec_busy = finish
-        return finish
+        return rec.task(self.rank, arr, duration)
 
     def submit(self, duration: float, label: str = "combine") -> SimEvent:
         """Enqueue ``duration`` seconds of processing; event fires when done.

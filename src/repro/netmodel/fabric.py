@@ -465,16 +465,11 @@ class Fabric:
         if rec is not None:
             if self.faults is not None:
                 rec.invalidate("fault plan attached to the fabric")
-            if channel:
-                # The recorded graph has no channel dimension: a replay
-                # would re-drive this flow on lane 0 and reshape every
-                # shared rate.
-                rec.invalidate("multi-channel flow")
             post = engine._rec_ctx
             if post is None:
                 post = rec.const(engine.now)
             flow.rec_node = rec.flow(src_rank, dst_rank, nbytes,
-                                     extra_latency, post)
+                                     extra_latency, post, channel)
             # The fabric's internal events (activation batches, completion
             # timers) are replayed by the fabric itself — suppress graph
             # nodes for the scheduling below.

@@ -50,19 +50,28 @@ choices, code paths taken).  Concretely:
   invalid; :func:`replay` then refuses and the caller falls back to full
   simulation.
 * FIFO compute queues (:class:`~repro.mpi.progress.ProgressEngine`) are
-  max-plus only while submissions stay in arrival order; the recorder
-  stores consecutive-arrival order guards and :func:`replay` verifies each
-  one under the new constants the moment both of its ends are known,
-  refusing when a perturbation would reorder a queue.
+  not max-plus — a task's start depends on which submissions reached its
+  queue first — so a submission is a *dynamic* node like a flow: the
+  mini-simulation delivers each task to its queue at the instant its
+  arrival resolves and prices it exactly as ``submit_cb`` does, in
+  whatever order the new constants produce.  The one order the graph
+  cannot always know is that of two submissions reaching the *same* queue
+  at the *same* instant: live, it falls out of engine sequence numbers.
+  :func:`replay` serves such a tie when the graph does order it —
+  deliveries of flows posted at different instants, timers armed at
+  different instants, actions of one dispatch in recorded order, anything
+  statically timed (:func:`_ordered` has the rules) — and refuses otherwise.  At the
+  recording's own constants ties take recorded order, so an identity
+  replay never refuses.
 
 Storage
 -------
-A recording is three append-only tables of typed columns
-(:class:`Columns`: one ``array`` per column) — nodes, flows, guards — plus
+A recording is two append-only tables of typed columns
+(:class:`Columns`: one ``array`` per column) — nodes and flows — plus
 the marks and the run's constants.  A graph of any size is therefore a
 fixed handful of Python objects: nothing per node for the cyclic GC to
-walk, 17 bytes per node (28 per flow, 8 per guard), and a JSON artifact
-that is a few long arrays.
+walk, 17 bytes per node (32 per flow), and a JSON artifact that is a few
+long arrays.
 ``K_MAX`` is *binary* so that every node fits the same four columns and
 ``join2`` is one dict probe on a packed-int key; a wide join is a chain of
 binary nodes.
@@ -75,7 +84,9 @@ from __future__ import annotations
 
 import json
 from array import array
+from heapq import heappop, heappush
 from dataclasses import dataclass, fields, field
+from typing import NamedTuple
 
 from repro.netmodel.params import MachineParams, NetworkParams
 from repro.sim.engine import DeadlineExceeded, Engine, SimulationError
@@ -94,12 +105,13 @@ REPLAY_SAFE_FIELDS = frozenset({
 })
 
 #: Node kinds of the recorded max-plus graph.
-K_CONST, K_SHIFT, K_MAX, K_FLOW = 0, 1, 2, 3
+K_CONST, K_SHIFT, K_MAX, K_FLOW, K_TASK = 0, 1, 2, 3, 4
 
-#: Serialized-recording schema.  v3 stores the graph as typed columns
-#: (binary max nodes); v1/v2 artifacts held per-node operand lists and are
-#: refused — a recording is cheap to make again.
-DUMP_SCHEMA = 3
+#: Serialized-recording schema.  v4 stores FIFO submissions as ``K_TASK``
+#: nodes and the lane of every flow; v3 froze each queue's recorded order
+#: into max/shift chains, v1/v2 held per-node operand lists.  Older
+#: artifacts are refused — a recording is cheap to make again.
+DUMP_SCHEMA = 4
 
 
 class ReplayInvalid(SimulationError):
@@ -111,7 +123,7 @@ class Columns:
 
     One :class:`array.array` per named column, so a table of any length is
     the same few Python objects.  Rows are appended column by column
-    (``t.lo.append(..); t.hi.append(..)``); ``len(t)`` is the row count.
+    (``t.src.append(..); t.dst.append(..)``); ``len(t)`` is the row count.
     """
 
     def __init__(self, **typecodes: str):
@@ -149,11 +161,16 @@ class GraphRecorder:
     K_SHIFT    pred node    delta   —            ``value(a) + x``
     K_MAX      lower pred   —       higher pred  ``max(value(a), value(b))``
     K_FLOW     flow index   —       —            completion of flow row ``a``
+    K_TASK     arrival      length  queue        finish of a FIFO submission
     =========  ===========  ======  ===========  ===========================
 
-    :attr:`flows` rows are ``(src, dst, nbytes, extra, post)`` — endpoints,
-    size, protocol latency and the node at which the transfer is posted;
-    :attr:`guards` rows are FIFO order guards ``value(lo) <= value(hi)``.
+    :attr:`flows` rows are ``(src, dst, nbytes, extra, post, ch)`` —
+    endpoints, size, protocol latency, the node at which the transfer is
+    posted and its virtual lane.  A ``K_TASK`` node is ``x`` seconds of work
+    reaching FIFO queue ``b`` at ``value(a)``; its value depends on what
+    else the queue holds by then, so — like a flow's — it is resolved by
+    the replay's mini-simulation, not by the graph.  Node order is
+    submission order within a queue.
 
     Nodes are hash-consed (``shift(x, 0.0)`` is ``x``, ``join2(x, x)`` is
     ``x``, ``join2(max(x, y), x)`` is ``max(x, y)``), so the graph stays
@@ -165,8 +182,8 @@ class GraphRecorder:
     def __init__(self, cluster=None, params: NetworkParams | None = None,
                  machine: MachineParams | None = None):
         self.nodes = Columns(kind="b", a="i", x="d", b="i")
-        self.flows = Columns(src="i", dst="i", nbytes="d", extra="d", post="i")
-        self.guards = Columns(lo="i", hi="i")
+        self.flows = Columns(src="i", dst="i", nbytes="d", extra="d", post="i",
+                             ch="b")
         self._const_cons: dict[float, int] = {}
         self._shift_cons: dict[float, dict[int, int]] = {}  # delta -> pred ->
         self._max_cons: dict[int, int] = {}                 # a << 32 | b ->
@@ -180,7 +197,7 @@ class GraphRecorder:
         self.meta: dict = {}
         #: lazily-built structural fold (see :func:`_fold_static`) — the
         #: static timeline is parameter-independent, so repeated replays of
-        #: one recording share it.
+        #: one recording share it until :meth:`drop_fold`.
         self._plan = None
 
     @property
@@ -239,7 +256,7 @@ class GraphRecorder:
         return idx
 
     def flow(self, src_rank: int, dst_rank: int, nbytes: float,
-             extra_latency: float, post_node: int) -> int:
+             extra_latency: float, post_node: int, channel: int = 0) -> int:
         flows = self.flows
         fidx = len(flows.src)
         flows.src.append(src_rank)
@@ -247,15 +264,15 @@ class GraphRecorder:
         flows.nbytes.append(nbytes)
         flows.extra.append(extra_latency)
         flows.post.append(post_node)
+        flows.ch.append(channel)
         return self._node(K_FLOW, fidx, 0.0, -1)
+
+    def task(self, queue: int, arrival: int, duration: float) -> int:
+        """``duration`` seconds of work reaching FIFO ``queue`` at ``arrival``."""
+        return self._node(K_TASK, arrival, duration, queue)
 
     def mark(self, key, node: int) -> None:
         self.marks[key] = node
-
-    def guard(self, lo: int, hi: int) -> None:
-        if lo != hi:
-            self.guards.lo.append(lo)
-            self.guards.hi.append(hi)
 
     def invalidate(self, reason: str) -> None:
         if self.invalid_reason is None:
@@ -271,6 +288,15 @@ class GraphRecorder:
         self._const_cons.clear()
         self._shift_cons.clear()
         self._max_cons.clear()
+
+    def drop_fold(self) -> None:
+        """Forget the cached structural fold (the next replay rebuilds it).
+
+        The fold is Python lists several times the size of the columns it is
+        built from; a holder that parks recordings between batches of
+        replays (the tuner's graph cache) drops it after each batch.
+        """
+        self._plan = None
 
     # -- validity -----------------------------------------------------------
 
@@ -311,7 +337,6 @@ class GraphRecorder:
             "invalid_reason": self.invalid_reason,
             "nodes": self.nodes.to_jsonable(),
             "flows": self.flows.to_jsonable(),
-            "guards": self.guards.to_jsonable(),
             "marks": {repr(k): v for k, v in sorted(
                 self.marks.items(), key=lambda kv: repr(kv[0]))},
             "placement": placement,
@@ -371,16 +396,34 @@ def _adjacency(keys: list[int], items: list[int], n: int):
     return at, out
 
 
-def _fold_static(rec: GraphRecorder):
+class _Plan(NamedTuple):
+    """The structural fold of a recording (see :func:`_fold_static`)."""
+
+    values: list        #: per node: folded static value, else None / -inf
+    nun: list           #: per node: unresolved-predecessor count
+    shift: list         #: per node: delta (K_SHIFT) / length (K_TASK) / None
+    dep_at: list        #: dependents of dynamic nodes (:func:`_adjacency`)
+    deps: list
+    act_at: list        #: flows and tasks a node's instant releases
+    acts: list
+    static_acts: list   #: ``(instant, offset in acts)`` of the static ones
+    flow_node: list     #: flow index -> K_FLOW node
+    prev_task: dict     #: K_TASK node -> the one before it in its queue
+    n_queues: int
+    done_nodes: list    #: the ``proc_done`` marks
+
+
+def _fold_static(rec: GraphRecorder) -> _Plan:
     """One topological pass over the graph, cached on the recording.
 
     Everything here is parameter-independent: which nodes are static, their
     folded values (consts and deltas are recorded, not re-priced), the
-    dependents of flow-blocked nodes, which flows each post node releases
-    and which guards each node completes.  Replays copy the two mutable
-    lists and run only the dynamic propagation.  The plan is flat lists of
-    numbers (see :func:`_adjacency`): like the recording it hangs off, it
-    holds no per-node container.
+    dependents of flow- and task-blocked nodes, and which flows and tasks
+    each node's instant releases.  Replays copy the two mutable lists and
+    run only the dynamic propagation.  The plan is flat lists of numbers
+    (see :func:`_adjacency`) — no per-node container — but it is several
+    times the recording's own size: :meth:`GraphRecorder.drop_fold` returns
+    that memory once a batch of replays is over.
     """
     if rec._plan is not None:
         return rec._plan
@@ -391,15 +434,19 @@ def _fold_static(rec: GraphRecorder):
     n = len(kinds)
     values: list = [None] * n
     nun = [0] * n                  # unresolved-predecessor counts
-    shift: list = [None] * n       # delta of a dynamic K_SHIFT, else None
+    shift: list = [None] * n       # delta of a dynamic K_SHIFT, length of a
+    #                                K_TASK, else None
     flow_node = [0] * len(rec.flows)   # flow index -> K_FLOW node
     dep_src: list[int] = []        # dynamic edges pred -> dependent
     dep_dst: list[int] = []
+    tasks: list[int] = []
+    prev_task: dict[int, int] = {}  # K_TASK node -> the one before it in its
+    tail: dict[int, int] = {}       # queue (recorded submission order)
 
     # The pass folds every node whose predecessors are all static
     # (predecessors always precede their node in creation order); nodes
-    # blocked behind a flow get an unresolved-predecessor count instead, and
-    # a dynamic max starts from its static operand (or -inf).
+    # blocked behind a flow or a task get an unresolved-predecessor count
+    # instead, and a dynamic max starts from its static operand (or -inf).
     for i, k in enumerate(kinds):
         if k == K_MAX:
             p, q = A[i], B[i]
@@ -434,41 +481,49 @@ def _fold_static(rec: GraphRecorder):
         elif k == K_FLOW:
             nun[i] = 1
             flow_node[A[i]] = i
+        elif k == K_TASK:
+            nun[i] = 1
+            shift[i] = X[i]
+            tasks.append(i)
+            q = B[i]
+            if q in tail:
+                prev_task[i] = tail[q]
+            tail[q] = i
         else:
             values[i] = X[i]
 
-    # What resolving a dynamic node triggers besides its dependents, packed
-    # as ``target << 2 | code``: 0 posts flow ``target``; 1 / 2 check an
-    # order guard against node ``target``, which must not come earlier /
-    # later.  A guard is attached to its dynamic end(s) only; the replay
-    # checks it when the second end resolves.
-    static_posts: list[int] = []
+    # What a dynamic node's instant releases besides its dependents, packed
+    # as ``target << 1 | is_task``: flow row ``target`` is posted, or task
+    # node ``target`` reaches its queue.  A flow or task released by a
+    # static node is an action list of its own at the end of ``acts``;
+    # ``static_acts`` pairs its instant with its offset there, in recorded
+    # order.
+    static: list = []
     act_node: list[int] = []
     act_code: list[int] = []
-    for fi, post in enumerate(rec.flows.post):
-        if nun[post]:
-            act_node.append(post)
-            act_code.append(fi << 2)
+    sources = [(fi << 1, post) for fi, post in enumerate(rec.flows.post)]
+    sources += [(i << 1 | 1, A[i]) for i in tasks]
+    for code, at in sources:
+        if nun[at]:
+            act_node.append(at)
+            act_code.append(code)
         else:
-            static_posts.append(fi)
-    for lo, hi in zip(rec.guards.lo, rec.guards.hi):
-        if nun[lo]:
-            act_node.append(lo)
-            act_code.append(hi << 2 | 1)
-        if nun[hi]:
-            act_node.append(hi)
-            act_code.append(lo << 2 | 2)
-        elif not nun[lo] and values[lo] > values[hi]:
-            raise ReplayInvalid(
-                f"order guard fails on static times ({values[lo]} > "
-                f"{values[hi]}); the recording is inconsistent"
-            )
+            static.append((values[at], code))
+    act_at, acts = _adjacency(act_node, act_code, n)
+    static_acts = []
+    for when, code in static:
+        static_acts.append((when, len(acts)))
+        acts += (code, -1)
     done_nodes = [node for key, node in rec.marks.items()
                   if isinstance(key, tuple) and key and key[0] == "proc_done"]
-    rec._plan = (values, nun, shift, *_adjacency(dep_src, dep_dst, n),
-                 *_adjacency(act_node, act_code, n), static_posts, flow_node,
-                 done_nodes)
+    rec._plan = _Plan(values, nun, shift, *_adjacency(dep_src, dep_dst, n),
+                      act_at, acts, static_acts, flow_node, prev_task,
+                      max(tail, default=-1) + 1, done_nodes)
     return rec._plan
+
+
+class _OrderQuestion(Exception):
+    """Two tasks met on one queue at one instant: their order matters."""
 
 
 def replay(recording: GraphRecorder, params: NetworkParams | None = None,
@@ -477,146 +532,390 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
     """Solve the recorded timeline under ``params``; exact by construction.
 
     Static (max-plus) nodes are folded in one (cached) topological pass;
-    flow nodes are resolved by a fresh
-    :class:`~repro.netmodel.fabric.Fabric` fed the recorded transfers at
-    their graph-resolved post times.  Raises :class:`ReplayInvalid` when
-    the recording's envelope is violated — for a reordered FIFO queue, at
-    the first order guard whose two ends have resolved the wrong way round,
-    not after the whole mini-simulation.
+    the rest resolve inside one mini-simulation.  Flow nodes are resolved
+    by a fresh :class:`~repro.netmodel.fabric.Fabric` fed the recorded
+    transfers at their graph-resolved post times.  Task nodes are resolved
+    by their FIFO queue: each is delivered at the instant its arrival
+    resolves and priced with the two float operations of
+    :meth:`~repro.mpi.progress.ProgressEngine.submit_cb` (``start =
+    max(now, busy_until)``, ``finish = start + duration``), so a queue the
+    new constants reorder is simply served in its new order.
+
+    The order in which the mini-simulation dispatches the events of one
+    instant changes the timeline only through a FIFO queue that two tasks
+    reach at that instant.  The first pass (:func:`_eager`) therefore keeps
+    no order at all and is exact as long as no two do; the first such pair
+    restarts the timeline under :func:`_ordered`, which dispatches what the
+    live run dispatches and knows which same-instant orders are the live
+    ones.
+
+    Raises :class:`ReplayInvalid` when the recording's envelope is violated
+    — in particular, from inside the mini-simulation, when two tasks reach
+    one queue at the same instant in an order the graph cannot know.
 
     With a ``deadline`` the replay mirrors the live simulator's bounded
     ``World.run(until=...)``: the mini-simulation stops at the deadline,
     and if a rank program (a ``proc_done`` mark) is unfinished by then it
     raises :class:`~repro.sim.engine.DeadlineExceeded` instead of solving
     the rest — a candidate that cannot beat the incumbent costs only the
-    replay work up to the proof.  That verdict is issued only by a timeline
-    whose order guards hold up to the deadline: the replayed times equal
-    the live ones until the first queue reorder, so a reorder before the
-    deadline raises :class:`ReplayInvalid` and never a false prune.
+    replay work up to the proof.  The timeline up to the deadline is the
+    live one, so the verdict is too; an ambiguous tie before the deadline
+    refuses, it never prunes.
+    """
+    recording.check_compatible(params, machine)
+    if recording.cluster is None:
+        raise ReplayInvalid("recording carries no cluster topology")
+    params = params or recording.params
+    plan = _fold_static(recording)
+    try:
+        values = _solve(recording, plan, params, deadline, _eager)
+    except _OrderQuestion:
+        values = _solve(recording, plan, params, deadline, _ordered)
+    return ReplayResult(
+        final_time=max(values, default=0.0),
+        marks={k: values[node] for k, node in recording.marks.items()},
+        n_nodes=len(values),
+        n_flows=len(recording.flows),
+        _values=values,
+        _flow_node=plan.flow_node,
+    )
+
+
+def _solve(rec: GraphRecorder, plan: _Plan, params: NetworkParams,
+           deadline: float | None, dispatcher) -> list:
+    """One mini-simulation of ``rec`` under ``params``: every node's value.
+
+    ``dispatcher`` (:func:`_eager` or :func:`_ordered`) builds the callback
+    that serves the mini-simulation's events.
     """
     from repro.netmodel.fabric import Fabric
 
-    recording.check_compatible(params, machine)
-    rec = recording
-    cluster = rec.cluster
-    if cluster is None:
-        raise ReplayInvalid("recording carries no cluster topology")
-    (values0, nun0, shift, dep_at, deps, act_at, acts, static_posts,
-     flow_node, done_nodes) = _fold_static(rec)
-    values = values0.copy()
-    nun = nun0.copy()
-    flows = rec.flows
-    src, dst, nbytes, extra = flows.src, flows.dst, flows.nbytes, flows.extra
-
+    values = plan.values.copy()
+    nun = plan.nun.copy()
     eng = Engine()
-    fab = Fabric(eng, cluster, params or rec.params)
-    schedule_at = eng.schedule_at
-    transfer_cb = fab.transfer_cb
-
-    def post_flow(fi: int, when: float) -> None:
-        if when < eng.now:
-            raise ReplayInvalid(
-                f"non-causal flow post: t={when} < now={eng.now}"
-            )
-        schedule_at(when, transfer_cb, src[fi], dst[fi], nbytes[fi],
-                    extra[fi], flow_done, fi)
-
-    def reordered(lo: int, hi: int) -> ReplayInvalid:
-        return ReplayInvalid(
-            "perturbation reorders a FIFO compute queue "
-            f"({values[lo]} > {values[hi]}); falling back to simulation"
-        )
-
-    # Propagation runs once per flow completion — the hot loop of a replay.
-    # Everything it touches is bound as a default argument: locals, not
-    # closure cells.  Iterative, because recursion could exceed the stack on
-    # deep shift chains.  A node's value is final when it is pushed; its
-    # unresolved count drops to zero when it is popped.
-    def flow_done(fi: int, values=values, nun=nun, shift=shift,
-                  dep_at=dep_at, deps=deps, act_at=act_at, acts=acts,
-                  flow_node=flow_node) -> None:
-        i = flow_node[fi]
-        values[i] = eng.now
-        stack = [i]
-        while stack:
-            i = stack.pop()
-            v = values[i]
-            nun[i] = 0
-            j = act_at[i]
-            if j:
-                a = acts[j]
-                while a >= 0:
-                    t = a >> 2
-                    code = a & 3
-                    if code == 0:
-                        post_flow(t, v)
-                    elif nun[t] == 0:
-                        # Second end of an order guard: refuse here, not
-                        # after the rest of the mini-simulation.
-                        if code == 1:
-                            if v > values[t]:
-                                raise reordered(i, t)
-                        elif values[t] > v:
-                            raise reordered(t, i)
-                    j += 1
-                    a = acts[j]
-            j = dep_at[i]
-            if j:
-                d = deps[j]
-                while d >= 0:
-                    delta = shift[d]
-                    if delta is not None:
-                        values[d] = v + delta
-                        stack.append(d)
-                    else:  # K_MAX: fold into the running maximum
-                        if v > values[d]:
-                            values[d] = v
-                        left = nun[d] - 1
-                        nun[d] = left
-                        if left == 0:
-                            stack.append(d)
-                    j += 1
-                    d = deps[j]
-
-    # Kick off every flow whose post time resolved statically; the rest
-    # cascade from flow completions inside the mini-simulation.
-    post = flows.post
-    for fi in static_posts:
-        post_flow(fi, values[post[fi]])
+    fire = dispatcher(rec, plan, params, eng, Fabric(eng, rec.cluster, params),
+                      values, nun)
+    # Kick off every flow and task whose instant resolved statically, in
+    # recorded order; the rest cascade from inside the mini-simulation.
+    for when, j in plan.static_acts:
+        eng.schedule_at(when, fire, j, 2)
     eng.run(until=deadline)
     if deadline is not None:
-        late = [d for d in done_nodes if nun[d] or values[d] > deadline]
+        late = sum(1 for d in plan.done_nodes
+                   if nun[d] or values[d] > deadline)
         if late:
-            # Replayed and live times agree up to the first queue reorder.
-            # Guards with both ends resolved were checked on the way; one
-            # whose later arrival is in but whose earlier one is still
-            # missing at the deadline is a reorder before the deadline.
-            for lo, hi in zip(rec.guards.lo, rec.guards.hi):
-                if nun[lo] and not nun[hi] and values[hi] <= deadline:
-                    raise ReplayInvalid(
-                        "perturbation reorders a FIFO compute queue before "
-                        "the deadline; falling back to simulation"
-                    )
             raise DeadlineExceeded(
                 f"replayed run exceeded deadline {deadline:.6g}s: "
-                f"{len(late)} rank program(s) unfinished"
+                f"{late} rank program(s) unfinished"
             )
         eng.run()
-
-    n = len(values)
-    unresolved = n - nun.count(0)
+    unresolved = len(values) - nun.count(0)
     if unresolved:
         raise ReplayInvalid(
             f"{unresolved} graph node(s) never resolved (incomplete recording)"
         )
-    return ReplayResult(
-        final_time=max(values, default=0.0),
-        marks={k: values[node] for k, node in rec.marks.items()},
-        n_nodes=n,
-        n_flows=len(flows),
-        _values=values,
-        _flow_node=flow_node,
-    )
+    return values
+
+
+def _eager(rec: GraphRecorder, plan: _Plan, params: NetworkParams,
+           eng: Engine, fab, values: list, nun: list):
+    """The dispatcher that keeps no same-instant order.
+
+    A node's value is propagated as soon as it is known — a shift or a task
+    finish lying ahead included — so the only events besides the fabric's
+    are the instants of nodes that release a flow or a task.  Two tasks
+    reaching one queue at one instant raise :class:`_OrderQuestion` — except
+    at the recording's own constants, where the recorded submission order
+    *is* the live order (:meth:`~GraphRecorder.check_compatible` pinned every
+    other field): a task whose recorded predecessor is still to come waits
+    for it.
+    """
+    (_values, _nun, shift, dep_at, deps, act_at, acts, _static,
+     flow_node, prev_task, n_queues, _done) = plan
+    flows = rec.flows
+    src, dst, nbytes, extra, lane = (flows.src, flows.dst, flows.nbytes,
+                                     flows.extra, flows.ch)
+    queue = rec.nodes.b
+    schedule_at = eng.schedule_at
+    transfer_cb = fab.transfer_cb
+    busy = [0.0] * n_queues     # ProgressEngine.busy_until
+    tie_t = [-1.0] * n_queues   # the queue's latest arrival
+    exact = params == rec.params
+    parked: dict = {}
+
+    # The hot loop of a replay: everything it touches is bound as a default
+    # argument (locals, not closure cells).  Iterative, because recursion
+    # could exceed the stack on deep shift chains.  A node's value is final
+    # when it is pushed; its unresolved count drops to zero when popped.
+    def fire(i, kind: int = 0, values=values, nun=nun, shift=shift,
+             dep_at=dep_at, deps=deps, act_at=act_at, acts=acts) -> None:
+        """Flow row ``i`` is delivered (``kind`` 0); node ``i``, resolved
+        ahead of this instant, releases its flows and tasks (1); the
+        statically timed action list at ``acts[i]`` runs (2)."""
+        v = now = eng.now
+        if kind == 0:
+            i = flow_node[i]
+            values[i] = now
+        j = act_at[i] if kind != 2 else i
+        resolved = not kind  # else: its dependents went with its value
+        stack = []
+        while True:
+            if j:
+                if v > now:  # its flows and tasks wait for their instant
+                    schedule_at(v, fire, i, 1)
+                else:
+                    a = acts[j]
+                    while a >= 0:
+                        t = a >> 1
+                        if a & 1:  # task node t reaches its queue
+                            q = queue[t]
+                            if exact:
+                                p = prev_task.get(t)
+                                if p is not None and values[p] is None:
+                                    parked[p] = t
+                                    t = None
+                            elif tie_t[q] == now:
+                                raise _OrderQuestion
+                            else:
+                                tie_t[q] = now
+                            if t is not None:
+                                start = busy[q]
+                                while t is not None:
+                                    if now > start:
+                                        start = now
+                                    values[t] = start = start + shift[t]
+                                    stack.append(t)
+                                    t = parked.pop(t, None)
+                                busy[q] = start
+                        else:  # flow row t is posted
+                            transfer_cb(src[t], dst[t], nbytes[t], extra[t],
+                                        fire, t, channel=lane[t])
+                        j += 1
+                        a = acts[j]
+            if resolved:
+                nun[i] = 0
+                j = dep_at[i]
+                if j:
+                    d = deps[j]
+                    while d >= 0:
+                        delta = shift[d]
+                        if delta is not None:
+                            values[d] = v + delta
+                            stack.append(d)
+                        else:  # K_MAX: fold into the running maximum
+                            if v > values[d]:
+                                values[d] = v
+                            left = nun[d] - 1
+                            nun[d] = left
+                            if left == 0:
+                                stack.append(d)
+                        j += 1
+                        d = deps[j]
+            else:
+                resolved = True
+            if not stack:
+                return
+            i = stack.pop()
+            v = values[i]
+            j = act_at[i]
+
+    return fire
+
+
+def _ordered(rec: GraphRecorder, plan: _Plan, params: NetworkParams,
+             eng: Engine, fab, values: list, nun: list):
+    """The dispatcher that knows which same-instant orders are the live ones.
+
+    Every dynamic node resolves at its own instant, as in the live run: a
+    shift or a task whose value lies ahead is a live timer, armed when its
+    base resolves and fired — its dependents with it — by an event of the
+    mini-simulation at that value.
+
+    The live order of two actions of one instant (flow posts: it decides
+    which of two flows that land together calls back first; task arrivals
+    on one queue; the arming of two timers set for one instant) is known
+    only when it follows from the graph.  Every dispatch runs under an
+    *order group*, and two actions of one instant are ordered for sure —
+    the order they take here is the live one — iff their groups are equal:
+
+    * a flow's delivery joins the group of the instant's earlier
+      deliveries when the fabric's callback order of it and each of them
+      is the live one: they were posted at different instants, or under
+      one group;
+    * timers fire in the order they were armed, so a timer continues the
+      group of the timer before it when that is the same instant and the
+      two were armed at different instants, or under one group; a max that
+      waits for a statically timed operand fires under a group of its own;
+    * the nodes one dispatch resolves are served in recorded (index) order,
+      taken to be the order the live dispatch reaches them in; the rest of
+      a dispatch that meets a second cause of its instant (a max whose
+      operands tie, the other not resolved under this group) or whose
+      flows, tasks or timers leave recorded order runs under a fresh group;
+    * statically timed actions share group 0 in recorded order, which no
+      constant can change.
+
+    Two tasks reaching one queue at one instant under different groups
+    raise :class:`ReplayInvalid`.  (At the recording's own constants
+    :func:`_eager` asks no question, so this dispatcher never runs.)
+    """
+    (_values, _nun, shift, dep_at, deps, act_at, acts, _static,
+     flow_node, _prev_task, n_queues, _done) = plan
+    flows = rec.flows
+    src, dst, nbytes, extra, lane = (flows.src, flows.dst, flows.nbytes,
+                                     flows.extra, flows.ch)
+    pred, queue = rec.nodes.a, rec.nodes.b
+    schedule_at = eng.schedule_at
+    transfer_cb = fab.transfer_cb
+
+    # FIFO queue state: ProgressEngine.busy_until, and the latest arrival
+    # (its instant and order group).
+    busy = [0.0] * n_queues
+    tie_t = [-1.0] * n_queues
+    tie_g = [0] * n_queues
+
+    post_t = [0.0] * len(flows)     # flow row -> instant and group of its
+    post_g = [0] * len(flows)       # post
+    arm_g = [-1] * len(values)  # timer node -> group that armed it (-1: none)
+    stamp = [-1] * len(values)  # K_MAX node -> group that resolved its first
+    #                             operand (matters when the second one ties)
+    next_g = 1                  # the next unused group id
+    fab_t, fab_g = -1.0, 0      # the latest delivery's instant and group;
+    fab_posts: dict = {}        # post instant -> post group of that group's
+    #                             deliveries
+    # The latest timer: its instant, when and under which group it was
+    # armed, and its group.
+    rel_t, rel_at, rel_ag, rel_g = -1.0, 0.0, 0, 0
+
+    # One call per event of the mini-simulation — the hot loop of a replay.
+    # Everything it touches is bound as a default argument: locals, not
+    # closure cells.  The nodes an event resolves are served from a heap, in
+    # recorded (index) order: the order the live dispatch created them in.
+    def fire(i, kind: int = 0, values=values, nun=nun, shift=shift,
+             dep_at=dep_at, deps=deps, act_at=act_at, acts=acts,
+             post_t=post_t, post_g=post_g, arm_g=arm_g, stamp=stamp) -> None:
+        """Dispatch one event of the mini-simulation: flow row ``i`` is
+        delivered (``kind`` 0); timer node ``i`` fires (1); the statically
+        timed action list at ``acts[i]`` runs (2)."""
+        nonlocal next_g, fab_t, fab_g, rel_t, rel_at, rel_ag, rel_g
+        now = eng.now
+        if kind == 0:
+            if now != fab_t:
+                fab_t = now
+                fab_posts.clear()
+                fab_g = next_g
+                next_g += 1
+            g = post_g[i]
+            if fab_posts.setdefault(post_t[i], g) != g:
+                fab_posts.clear()
+                fab_posts[post_t[i]] = g
+                fab_g = next_g
+                next_g += 1
+            group = fab_g
+            i = flow_node[i]
+            values[i] = now
+            j = act_at[i]
+        elif kind == 1:
+            g = arm_g[i]
+            at = values[pred[i]]
+            if g >= 0 and now == rel_t and (at != rel_at or g == rel_ag):
+                group = rel_g
+            else:
+                group = rel_g = next_g
+                next_g += 1
+            rel_t = now if g >= 0 else -1.0
+            rel_at = at
+            rel_ag = g
+            j = act_at[i]
+        else:
+            group = 0
+            j = i
+            i = -1
+        last_flow = last_task = last_arm = -1
+        ready = []  # resolved nodes, served in recorded (index) order
+        while True:
+            if j:
+                a = acts[j]
+                while a >= 0:
+                    t = a >> 1
+                    if a & 1:  # task node t reaches its queue
+                        q = queue[t]
+                        if a < last_task:
+                            group = next_g
+                            next_g += 1
+                        last_task = a
+                        if tie_t[q] == now and tie_g[q] != group:
+                            raise ReplayInvalid(
+                                "ambiguous same-instant order in a FIFO "
+                                f"compute queue (rank {q}, t={now}); "
+                                "falling back to simulation"
+                            )
+                        tie_t[q] = now
+                        tie_g[q] = group
+                        start = busy[q]
+                        if now > start:
+                            start = now
+                        values[t] = busy[q] = start = start + shift[t]
+                        if start > now:  # its finish is a timer
+                            if t < last_arm:
+                                group = next_g
+                                next_g += 1
+                            last_arm = t
+                            arm_g[t] = group
+                            schedule_at(start, fire, t, 1)
+                        else:
+                            heappush(ready, t)
+                    else:  # flow row t is posted
+                        if a < last_flow:
+                            group = next_g
+                            next_g += 1
+                        last_flow = a
+                        post_t[t] = now
+                        post_g[t] = group
+                        transfer_cb(src[t], dst[t], nbytes[t], extra[t],
+                                    fire, t, channel=lane[t])
+                    j += 1
+                    a = acts[j]
+            if i >= 0:
+                nun[i] = 0
+                j = dep_at[i]
+                if j:
+                    d = deps[j]
+                    while d >= 0:
+                        delta = shift[d]
+                        if delta is not None:  # K_SHIFT: a timer
+                            values[d] = v = now + delta
+                            if v > now:
+                                if d < last_arm:
+                                    group = next_g
+                                    next_g += 1
+                                last_arm = d
+                                arm_g[d] = group
+                                schedule_at(v, fire, d, 1)
+                            else:
+                                heappush(ready, d)
+                        else:  # K_MAX: fold into the running maximum
+                            v = values[d]
+                            if now > v:
+                                values[d] = v = now
+                            elif now == v and stamp[d] != group:
+                                group = next_g
+                                next_g += 1
+                            left = nun[d] - 1
+                            nun[d] = left
+                            if left:
+                                stamp[d] = group
+                            elif v > now:  # waits for its static operand
+                                schedule_at(v, fire, d, 1)
+                            else:
+                                heappush(ready, d)
+                        j += 1
+                        d = deps[j]
+            if not ready:
+                return
+            i = heappop(ready)
+            j = act_at[i]
+
+    return fire
 
 
 def replay_kernel(recording: GraphRecorder,
@@ -717,8 +1016,9 @@ def load_recording(source) -> GraphRecorder:
     persist each scored candidate's graph next to the tuning db
     (:class:`repro.tune.graphstore.GraphStore`) and a fresh process scores
     warm-started shortlists through :func:`replay` instead of full
-    simulation.  Artifacts of another schema (the per-node lists of v1/v2)
-    and torn or malformed columns raise :class:`ReplayInvalid`.
+    simulation.  Artifacts of another schema (the per-node lists of v1/v2,
+    the frozen queue chains of v3) and torn or malformed columns raise
+    :class:`ReplayInvalid`.
     """
     import ast
 
@@ -741,7 +1041,7 @@ def load_recording(source) -> GraphRecorder:
     placement = doc.get("placement")
     cluster = Cluster(placement) if placement else None
     rec = GraphRecorder(cluster=cluster, params=params, machine=machine)
-    for table in ("nodes", "flows", "guards"):
+    for table in ("nodes", "flows"):
         getattr(rec, table).fill(doc.get(table))
     rec.marks = {ast.literal_eval(k): v for k, v in doc["marks"].items()}
     rec.meta = dict(doc.get("meta", {}))

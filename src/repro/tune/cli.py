@@ -60,6 +60,15 @@ def _print_record(record, trace: bool = False) -> None:
                   f"sim={sim:<11} {entry.candidate.key}")
 
 
+def _replay_lines(replays: int, aborts: int, refusals: dict) -> str:
+    """How many shortlist entries replay scored, and why it fell back."""
+    line = (f"replays: {replays} ({aborts} cut short by the deadline)  "
+            f"replay fallbacks: {sum(refusals.values())}")
+    for reason in sorted(refusals):
+        line += f"\n  fell back x{refusals[reason]}: {reason}"
+    return line
+
+
 def _signatures(args) -> list:
     """Resolve the kernel spec (+ one or more ``--n``) to signatures."""
     from repro.kernels import KERNELS
@@ -134,6 +143,8 @@ def _cmd_warm(args) -> int:
               f"interpolated: {stats['interpolated']}  "
               f"coalesced: {stats['coalesced']}  hits: {stats['hits']}  "
               f"simulations: {stats['simulations']}")
+        print(_replay_lines(stats["replays"], stats["replay_aborts"],
+                            stats["replay_refusals"]))
     finally:
         svc.close()
     return 0

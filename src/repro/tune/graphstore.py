@@ -15,7 +15,7 @@ SHA-256 of the workload key (keys contain ``:`` and arbitrary placement
 strings — hashing keeps filenames portable).  Each file carries the
 workload key in clear for inspection::
 
-    {"schema": 2, "workload": "ssc:n64:r8:m2x2x2:ppn1:block",
+    {"schema": 3, "workload": "ssc:n64:r8:m2x2x2:ppn1:block",
      "graphs": {"<candidate key>": {...to_jsonable()...}}}
 
 written compactly (a graph is a few long number arrays; indenting them
@@ -36,10 +36,10 @@ import pathlib
 
 from repro.sim.replay import GraphRecorder, ReplayInvalid, load_recording
 
-#: On-disk schema of a per-workload graph file.  v2 holds column-form
-#: recordings (:data:`repro.sim.replay.DUMP_SCHEMA` 3); a v1 file is one
-#: whole-file miss.
-GRAPHSTORE_SCHEMA = 2
+#: On-disk schema of a per-workload graph file.  v3 holds
+#: :data:`repro.sim.replay.DUMP_SCHEMA` 4 recordings (FIFO submissions as
+#: task nodes); a v1 or v2 file is one whole-file miss.
+GRAPHSTORE_SCHEMA = 3
 
 #: Filename stem length (hex chars of the workload-key SHA-256).
 _STEM_LEN = 16

@@ -105,6 +105,9 @@ class SearchOutcome:
     #: Recordings this search wrote into ``graph_cache`` (new or replaced),
     #: by candidate key.
     recorded: dict = field(default_factory=dict)
+    #: Why replay fell back to simulation: candidate key -> the
+    #: :class:`~repro.sim.replay.ReplayInvalid` message.
+    refusals: dict = field(default_factory=dict)
 
 
 def _sample(cands: list[Candidate], limit: int, seed: int) -> list[Candidate]:
@@ -205,6 +208,7 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
     replays = 0
     replay_aborts = 0
     recorded = {}
+    refusals = {}
     incumbent: TraceEntry | None = None
     incumbent_world = None
     for entry in short:
@@ -228,8 +232,14 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
                     replays += 1
                     replay_aborts += 1
                     continue
-                except ReplayInvalid:
-                    scored = None  # envelope violated: full simulation
+                except ReplayInvalid as exc:
+                    # Envelope violated: full simulation, and say why.
+                    refusals[entry.candidate.key] = str(exc)
+                finally:
+                    # One scoring per graph per search: the fold (several
+                    # times the recording's size) must not stay parked in
+                    # the cache with it.
+                    recg.drop_fold()
         if scored is None:
             try:
                 if use_replay:
@@ -279,4 +289,5 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
     return SearchOutcome(best=incumbent, default=entries[default.key],
                          trace=trace, simulations=simulations,
                          replays=replays, replay_aborts=replay_aborts,
-                         interpolated=interpolated, recorded=recorded)
+                         interpolated=interpolated, recorded=recorded,
+                         refusals=refusals)

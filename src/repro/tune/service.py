@@ -448,6 +448,7 @@ class TuningService(KernelEntryPoints):
                 "simulations": t.simulations,
                 "replays": t.replays,
                 "replay_aborts": t.replay_aborts,
+                "replay_refusals": dict(t.replay_refusals),
                 "replay_loads": t.replay_loads,
                 "interpolations": t.interpolations,
             }

@@ -25,6 +25,7 @@ Policies
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 from repro.netmodel.params import MachineParams, NetworkParams
 from repro.tune.candidates import Candidate, enumerate_candidates, \
@@ -143,6 +144,9 @@ class Tuner(KernelEntryPoints):
         self.replays = 0
         #: Replays cut short by the incumbent deadline (early abort).
         self.replay_aborts = 0
+        #: Replays that fell back to simulation, counted by reason (the
+        #: ``ReplayInvalid`` message up to its run-specific detail).
+        self.replay_refusals: Counter = Counter()
         #: Recorded graphs loaded from the graph store (cross-process reuse).
         self.replay_loads = 0
         #: Searches that ran on an interpolated (seeded) shortlist.
@@ -228,6 +232,8 @@ class Tuner(KernelEntryPoints):
             self.simulations += outcome.simulations
             self.replays += outcome.replays
             self.replay_aborts += outcome.replay_aborts
+            self.replay_refusals.update(
+                reason.split(" (")[0] for reason in outcome.refusals.values())
             self.replay_loads += loaded
             if outcome.interpolated:
                 self.interpolations += 1

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from dataclasses import fields
 
+from repro.dense import run_summa
 from repro.kernels.ssc25d import run_ssc25d
 from repro.kernels.symmsquarecube import run_ssc
 from repro.mpi.requests import waitany
@@ -30,6 +31,10 @@ from repro.sim.replay import (
     replay,
     replay_kernel,
 )
+
+from repro.tune.candidates import effective_params, enumerate_candidates
+from repro.tune.search import simulate_candidate
+from repro.tune.signature import signature_for_summa
 
 from tests.conftest import make_world, run_storm_world, storm_messages
 
@@ -142,11 +147,13 @@ class TestStormReplayEquivalence:
         try:
             r = replay(rec, params=params)
         except ReplayInvalid as exc:
-            # The only legitimate data-dependent refusal: a perturbation
-            # reordering a FIFO compute queue.  Never on identity replays,
-            # and never a silent wrong answer.
+            # The only legitimate data-dependent refusal: two submissions
+            # reaching one FIFO compute queue at the same instant in an
+            # order the graph cannot know.  Never on identity replays, and
+            # never a silent wrong answer.
             assert pert is not None
-            assert "FIFO" in str(exc)
+            assert "ambiguous same-instant order in a FIFO compute queue" \
+                in str(exc)
             return
         final1, w1 = run_storm_world(msgs, ranks, ppn=ppn, params=params,
                                      record=True)
@@ -240,3 +247,97 @@ class TestDeadlineSemantics:
         elapsed, world_time = replay_kernel(rec, params=BASE, deadline=loose)
         assert elapsed == live.elapsed
         assert world_time == live.world.engine.now == loose
+
+
+# -- exact or refused, across the kernel families -------------------------------
+
+#: name -> (runner, positional args, keyword args, base constants).  Small
+#: meshes of every family the tuner models; N_DUP > 1 and the pipelined
+#: SUMMA variants are where FIFO queues reorder and tie.
+_LANES2 = NetworkParams(num_channels=2)
+FAMILY_CFGS = {
+    "ssc-p2": (run_ssc, (2, 256, "optimized"), dict(n_dup=4), BASE),
+    "ssc-p3": (run_ssc, (3, 1536, "optimized"), dict(n_dup=4), BASE),
+    "ssc-p4": (run_ssc, (4, 512, "optimized"), dict(n_dup=2), BASE),
+    "ssc25d-2x2x2": (run_ssc25d, (2, 2, 256), dict(n_dup=4), BASE),
+    "ssc25d-4x4x2": (run_ssc25d, (4, 2, 512), dict(n_dup=2), BASE),
+    "summa-plain": (run_summa, (4, 512), dict(algorithm="plain"), BASE),
+    "summa-streaming": (run_summa, (4, 2048),
+                        dict(algorithm="streaming", depth=4, ppn=2), BASE),
+    "summa-colored": (run_summa, (4, 2048),
+                      dict(algorithm="colored", colors=2, depth=2), _LANES2),
+}
+
+FAMILY_PERTURBATIONS = SAFE_PERTURBATIONS + [("nic_bandwidth", 2.0)]
+
+#: Deadlines as multiples of the live world time; 1 + 1e-9 is the tuner's
+#: DEADLINE_SLACK.
+FAMILY_DEADLINES = (None, 0.5, 0.999, 1.0 + 1e-9)
+
+TIE = "ambiguous same-instant order in a FIFO compute queue"
+
+
+def _verdict(fn):
+    """``(elapsed, world time)`` of a kernel run or replay, or how it ended."""
+    try:
+        out = fn()
+    except DeadlineExceeded:
+        return "deadline"
+    except ReplayInvalid as exc:
+        assert TIE in str(exc), exc         # the only data-dependent refusal
+        return "refused"
+    if isinstance(out, tuple):
+        return out
+    return out.elapsed, out.world.engine.now
+
+
+class TestExactOrRefused:
+    """Every served replay equals the live run — times and deadline verdict."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_CFGS))
+    def test_family_matrix(self, name):
+        runner, args, kwargs, base = FAMILY_CFGS[name]
+        rec = runner(*args, **kwargs, params=base, record=True).recording
+        assert rec is not None and rec.valid, rec.invalid_reason
+        served = 0
+        for field, scale in FAMILY_PERTURBATIONS:
+            params = base.replace(**{field: getattr(base, field) * scale})
+            _elapsed, world = _verdict(
+                lambda: runner(*args, **kwargs, params=params))
+            for factor in FAMILY_DEADLINES:
+                deadline = None if factor is None else world * factor
+                got = _verdict(lambda: replay_kernel(rec, params,
+                                                     deadline=deadline))
+                if got == "refused":
+                    continue
+                served += 1
+                assert got == _verdict(lambda: runner(
+                    *args, **kwargs, params=params, deadline=deadline)), \
+                    (name, field, scale, factor)
+        # Refusals are the exception, not the way the test passes.
+        assert served >= 0.75 * len(FAMILY_PERTURBATIONS) * len(FAMILY_DEADLINES)
+
+    def test_streaming_summa_ties_repro(self):
+        """The 15 ``streaming:*:t4`` SUMMA candidates at p=4, n=2048 under
+        five NIC bandwidths: two equal flows land together on one rank and
+        their callback order follows the live timer history.  Trusting the
+        recorded order there gave wrong times; freezing it refused 64 of
+        the 75."""
+        sig = signature_for_summa(4, 2048)
+        cands = [c for c in enumerate_candidates(sig)
+                 if c.algorithm == "streaming" and c.depth == 4]
+        assert len(cands) == 15
+        served = 0
+        for cand in cands:
+            _kt, _wt, rec = simulate_candidate(sig, cand, BASE, record=True)
+            for scale in (0.5, 0.9, 0.913, 1.1, 2.0):
+                params = perturb("nic_bandwidth", scale)
+                got = _verdict(lambda: replay_kernel(
+                    rec, effective_params(cand, params)))
+                if got == "refused":
+                    continue
+                served += 1
+                assert got == simulate_candidate(
+                    signature_for_summa(4, 2048, params=params), cand,
+                    params), (cand.key, scale)
+        assert served >= 50

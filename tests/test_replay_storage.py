@@ -1,17 +1,20 @@
 """Column-form recordings: flatness, recorder algebra, schema, deadlines.
 
-A recording is three tables of typed columns (``repro.sim.replay.Columns``)
-with binary max nodes.  These tests pin what that layout promises:
+A recording is two tables of typed columns (``repro.sim.replay.Columns``)
+with binary max nodes and FIFO submissions as task nodes.  These tests pin
+what that layout promises:
 
 * *flatness* — a sealed recording (and its cached fold) is the same handful
-  of GC-tracked objects whatever its node count;
+  of GC-tracked objects whatever its node count, and the tuner's graph
+  cache parks recordings without their fold;
 * *algebra* — the hash-consing identities of ``const`` / ``shift`` /
-  ``join2``, and replay == direct recursive evaluation on random DAGs;
+  ``join2``, replay == direct recursive evaluation on random DAGs, and
+  replayed FIFO queues == a reference queue under random arrival orders;
 * *schema* — dump/load is bit-exact per column, older or torn artifacts are
   refused;
-* *deadline verdicts* — a bounded replay never reports
-  ``DeadlineExceeded`` where the live bounded run finishes (the false
-  prune a reordered FIFO queue used to cause).
+* *deadline verdicts* — a bounded replay does exactly what the live bounded
+  run does, also where the perturbation reorders a FIFO queue (which used
+  to refuse, and before that to prune falsely).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.sim.replay import (
     K_FLOW,
     K_MAX,
     K_SHIFT,
+    K_TASK,
     GraphRecorder,
     ReplayInvalid,
     dump_recording,
@@ -68,6 +72,23 @@ def _tracked_objects(root) -> int:
     return count
 
 
+def _largest_container(root) -> int:
+    """Length of the longest list/tuple/dict/set reachable from ``root``."""
+    seen = {id(root)}
+    stack = [root]
+    longest = 0
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (list, tuple, dict, set, frozenset)):
+            longest = max(longest, len(obj))
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(
+                    ref, (type, types.ModuleType, types.FunctionType)):
+                seen.add(id(ref))
+                stack.append(ref)
+    return longest
+
+
 class TestFlatness:
     def test_tracked_objects_do_not_grow_with_the_graph(self):
         small, large = (
@@ -75,8 +96,9 @@ class TestFlatness:
             for k in (2, 8))
         # Same ranks and iterations, so the same marks; ~4x the rest.
         assert set(small.marks) == set(large.marks)
-        for table in ("nodes", "flows", "guards"):
+        for table in ("nodes", "flows"):
             assert len(getattr(large, table)) > 3 * len(getattr(small, table))
+        assert (large.kinds.count(K_TASK) > 3 * small.kinds.count(K_TASK) > 0)
         for rec in (small, large):
             replay_kernel(rec)      # seals, and caches the fold on rec
             assert rec._plan is not None
@@ -89,6 +111,24 @@ class TestFlatness:
         assert tuner.graph_cache
         for rec in tuner.graph_cache.values():
             assert not (rec._const_cons or rec._shift_cons or rec._max_cons)
+
+    def test_served_and_cached_recording_holds_no_fold(self):
+        """A re-tune served by replay leaves its graphs parked as bare
+        columns: the fold (per-node Python lists) went with the scoring."""
+        tuner = Tuner(replay="on")
+        tuner.autotune_ssc(2, 256)
+        base = NetworkParams()
+        tuner.autotune_ssc(2, 256, params=base.replace(alpha=1.25 * base.alpha))
+        assert tuner.replays >= 2 and not tuner.replay_refusals
+        for rec in tuner.graph_cache.values():
+            assert rec._plan is None
+            assert _largest_container(rec) < len(rec.kinds) // 8
+        # ... and dropping is what a holder does after its own batch.
+        rec = next(iter(tuner.graph_cache.values()))
+        replay_kernel(rec)
+        assert rec._plan is not None
+        rec.drop_fold()
+        assert rec._plan is None
 
 
 # -- recorder algebra ---------------------------------------------------------
@@ -183,12 +223,157 @@ class TestRecorderAlgebra:
         assert (result.n_nodes, result.n_flows) == (len(rec.kinds), len(flows))
 
 
+# -- FIFO task queues ---------------------------------------------------------
+
+def _reference_fifo(arrivals) -> dict:
+    """``[(arrival, order, duration)]`` of one queue -> ``{order: finish}``:
+    ``ProgressEngine.submit_cb``'s arithmetic, in arrival order."""
+    busy = 0.0
+    finish = {}
+    for arrival, order, duration in sorted(arrivals):
+        busy = finish[order] = max(arrival, busy) + duration
+    return finish
+
+
+_TASK = st.tuples(st.integers(0, 2),            # queue
+                  st.integers(0, 3),            # rides flow k (3: no flow)
+                  st.floats(0.0, 2e-4))         # duration
+
+
+class TestTaskQueues:
+    """A K_TASK node is served by its queue in *replayed* arrival order."""
+
+    @staticmethod
+    def _record(tasks, slots):
+        """Tasks recorded in list order, arriving in ``slots`` order: task k
+        reaches its queue ``slots[k]`` x 10 us after its flow lands (or
+        after t=0)."""
+        rec = GraphRecorder(cluster=Cluster([0, 0, 1, 1]))
+        t0 = rec.const(0.0)
+        flows = [rec.flow(src, dst, nbytes, 1e-6, t0)
+                 for src, dst, nbytes in ((0, 2, 3e5), (1, 3, 5e5), (0, 1, 7e5))]
+        for k, ((queue, ride, duration), slot) in enumerate(zip(tasks, slots)):
+            base = flows[ride] if ride < 3 else t0
+            arrival = rec.shift(base, slot * 1e-5)
+            rec.mark(("arrival", k), arrival)
+            rec.mark(("finish", k), rec.task(queue, arrival, duration))
+        return rec
+
+    @given(data=st.data(), tasks=st.lists(_TASK, min_size=1, max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_random_arrival_orders_match_a_reference_fifo(self, data, tasks):
+        slots = data.draw(st.permutations(range(1, len(tasks) + 1)))
+        rec = self._record(tasks, slots)
+        # Not the recording's constants, so no order is taken on trust.
+        result = replay(rec, rec.params.replace(alpha=2.0 * rec.params.alpha))
+        for queue in range(3):
+            arrivals = [(result.marks["arrival", k], k, duration)
+                        for k, (q, _ride, duration) in enumerate(tasks)
+                        if q == queue]
+            assert len({a for a, _k, _d in arrivals}) == len(arrivals)
+            for k, finish in _reference_fifo(arrivals).items():
+                assert result.marks["finish", k].hex() == finish.hex()
+
+    def test_statically_timed_ties_take_recorded_order(self):
+        """No constant moves a static instant, or the order the live engine
+        gives two of them: served as recorded, whatever the constants."""
+        tasks = [(0, 3, 1e-4), (0, 3, 2e-4), (1, 3, 1e-4)]
+        rec = self._record(tasks, [5, 5, 5])
+        for params in (None, rec.params.replace(alpha=2.0 * rec.params.alpha)):
+            marks = replay(rec, params).marks
+            assert marks["finish", 0] == 5e-5 + 1e-4
+            assert marks["finish", 1] == marks["finish", 0] + 2e-4
+            assert marks["finish", 2] == 5e-5 + 1e-4
+
+    def test_a_timer_and_a_delivery_of_one_instant_are_refused(self):
+        """One task rides a flow, the other a timer set for the very instant
+        the flow lands: live, their order falls out of engine sequence
+        numbers the graph does not hold."""
+        def record(timer):
+            rec = GraphRecorder(cluster=Cluster([0, 0, 1, 1]))
+            flow = rec.flow(0, 2, 3e5, 1e-6, rec.const(0.0))
+            rec.mark("rode", rec.task(0, flow, 1e-4))
+            rec.mark(("proc_done", 0), rec.task(0, rec.const(timer), 1e-4))
+            return rec
+
+        params = record(0.0).params
+        params = params.replace(alpha=2.0 * params.alpha)
+        landed = replay(record(1.0), params).flow_times[0]
+        tie = "ambiguous same-instant order in a FIFO compute queue"
+        with pytest.raises(ReplayInvalid, match=tie):
+            replay(record(landed), params)
+        # ... also where a deadline past the tie would cut the run short:
+        # a tie before the deadline refuses, it never prunes.
+        with pytest.raises(ReplayInvalid, match=tie):
+            replay(record(landed), params, deadline=landed + 5e-5)
+        with pytest.raises(DeadlineExceeded):
+            replay(record(landed), params, deadline=landed / 2)
+        # Any other instant is served, in arrival order.
+        marks = replay(record(landed / 2), params).marks
+        assert marks["rode"] == landed / 2 + 1e-4 + 1e-4
+        marks = replay(record(landed + 5e-5), params).marks
+        assert marks["proc_done", 0] == landed + 1e-4 + 1e-4
+        # At the recording's own constants the recorded order is the order.
+        rec = record(replay(record(1.0)).flow_times[0])
+        marks = replay(rec).marks
+        assert marks["proc_done", 0] == marks["rode"] + 1e-4
+
+    def test_timers_of_one_instant_fire_in_arming_order_or_are_refused(self):
+        """Two equal flows posted at one instant land together; each
+        delivery arms a timer for one later instant and both timers feed
+        queue 0.  Timers fire in the order they were armed, which is known
+        iff the order of the two posts is: posted by one dispatch the
+        replay is served, posted by a delivery and by a timer set for the
+        very instant it lands it is refused — unless the constants are the
+        recording's own."""
+        def record(landed):
+            rec = GraphRecorder(cluster=Cluster([0, 0, 1, 1]))
+            first = rec.flow(0, 2, 3e5, 1e-6, rec.const(0.0))
+            posts = (first, first if landed is None else rec.const(landed))
+            for k, (post, (src, dst)) in enumerate(zip(posts, ((0, 2), (1, 3)))):
+                timer = rec.shift(rec.flow(src, dst, 2e5, 1e-6, post), 1e-5)
+                done = rec.task(0, timer, 1e-4)
+                rec.mark(k, done)
+                rec.task(1 + k, done, 1e-4)     # its finish arms more work
+            return rec
+
+        params = record(None).params
+        params = params.replace(alpha=2.0 * params.alpha)
+        result = replay(record(None), params)
+        first, one, other = result.flow_times
+        assert one == other                     # they do land together
+        assert result.marks[0] == one + 1e-5 + 1e-4
+        assert result.marks[1] == result.marks[0] + 1e-4
+        with pytest.raises(ReplayInvalid, match="ambiguous same-instant"):
+            replay(record(first), params)
+        rec = record(replay(record(None)).flow_times[0])
+        marks = replay(rec).marks
+        assert marks[1] == marks[0] + 1e-4
+
+    def test_identity_takes_recorded_order_however_the_tie_resolves(self):
+        """Three tasks tied on one queue, recorded against the order of
+        their arrival nodes — the order the propagation releases them in:
+        an identity replay still prices them 0, 1, 2; any other refuses."""
+        rec = GraphRecorder(cluster=Cluster([0, 0, 1, 1]))
+        flow = rec.flow(0, 2, 1e5, 1e-6, rec.const(0.0))
+        arrivals = [rec.join2(flow, rec.const((k + 1) * 1e-9)) for k in range(3)]
+        for k, arrival in enumerate(reversed(arrivals)):
+            rec.mark(k, rec.task(0, arrival, (k + 1) * 1e-4))
+        result = replay(rec)
+        busy = result.flow_times[0]
+        for k in range(3):
+            busy += (k + 1) * 1e-4
+            assert result.marks[k] == busy
+        with pytest.raises(ReplayInvalid, match="ambiguous same-instant"):
+            replay(rec, rec.params.replace(alpha=2.0 * rec.params.alpha))
+
+
 # -- schema -------------------------------------------------------------------
 
 def _columns(rec: GraphRecorder) -> dict:
     return {f"{table}.{name}": [x.hex() if isinstance(x, float) else x
                                 for x in col]
-            for table in ("nodes", "flows", "guards")
+            for table in ("nodes", "flows")
             for name, col in vars(getattr(rec, table)).items()}
 
 
@@ -202,9 +387,9 @@ class TestSchema:
         dump_recording(recording, path)
         loaded = load_recording(path)
         assert _columns(loaded) == _columns(recording)
-        assert [c.typecode for t in ("nodes", "flows", "guards")
+        assert [c.typecode for t in ("nodes", "flows")
                 for c in vars(getattr(loaded, t)).values()] \
-            == [c.typecode for t in ("nodes", "flows", "guards")
+            == [c.typecode for t in ("nodes", "flows")
                 for c in vars(getattr(recording, t)).values()]
         assert loaded.marks == recording.marks
         assert loaded.meta == recording.meta
@@ -215,8 +400,8 @@ class TestSchema:
 
     def test_older_schemas_are_refused(self, recording):
         doc = recording.to_jsonable()
-        assert doc["schema"] == DUMP_SCHEMA == 3
-        for old in (1, 2):
+        assert doc["schema"] == DUMP_SCHEMA == 4
+        for old in (1, 2, 3):
             with pytest.raises(ReplayInvalid, match="re-record"):
                 load_recording(dict(doc, schema=old))
 
@@ -226,7 +411,7 @@ class TestSchema:
         with pytest.raises(ReplayInvalid, match="torn"):
             load_recording(torn)
         for bad in (dict(doc, flows={"src": []}),             # column missing
-                    dict(doc, guards=None),                   # table missing
+                    dict(doc, flows=None),                    # table missing
                     dict(doc, nodes=dict(doc["nodes"], a=[0.5]))):  # float id
             with pytest.raises(ReplayInvalid, match="malformed"):
                 load_recording(bad)
@@ -237,9 +422,10 @@ class TestSchema:
         path = store.save("wl", {"cand": recording})
         assert set(store.load("wl")) == {"cand"}
         doc = json.loads(path.read_text())
-        assert doc["schema"] == GRAPHSTORE_SCHEMA == 2
-        path.write_text(json.dumps(dict(doc, schema=1)))
-        assert store.load("wl") == {}
+        assert doc["schema"] == GRAPHSTORE_SCHEMA == 3
+        for old in (1, 2):
+            path.write_text(json.dumps(dict(doc, schema=old)))
+            assert store.load("wl") == {}
         # ... and a save over it starts from nothing instead of merging it.
         store.save("wl", {"other": recording})
         assert set(store.load("wl")) == {"other"}
@@ -255,7 +441,7 @@ _DEADLINES = (0.5, 0.9, 1.0 + 1e-9, 1.0005, 1.1)
 def _outcome(fn):
     try:
         return fn()
-    except (DeadlineExceeded, ReplayInvalid) as exc:
+    except DeadlineExceeded as exc:
         return type(exc)
 
 
@@ -263,7 +449,9 @@ class TestDeadlineVerdict:
     @pytest.mark.parametrize("p", [2, 3])
     def test_bounded_replay_never_prunes_what_the_live_run_finishes(self, p):
         """Every N_DUP >= 4 shortlist graph x perturbation x deadline: the
-        replay refuses, or does exactly what ``run(until=deadline)`` does."""
+        replay follows the reordered queues and does exactly what
+        ``run(until=deadline)`` does — finish with the same times, or
+        ``DeadlineExceeded``."""
         tuner = Tuner(replay="on")
         record = tuner.autotune_ssc(p, _N)
         base = NetworkParams()
@@ -274,7 +462,6 @@ class TestDeadlineVerdict:
                   (record.signature.workload_key, t.candidate.key)
                   in tuner.graph_cache]
         assert graphs
-        refused = served = 0
         for field, factor in _PERTURB:
             params = base.replace(**{field: getattr(base, field) * factor})
             sig = signature_for_ssc(p, _N, params=params)
@@ -283,21 +470,16 @@ class TestDeadlineVerdict:
                 _kt, world = simulate_candidate(sig, cand, params)
                 for scale in _DEADLINES:
                     deadline = world * scale
-                    got = _outcome(lambda: replay_kernel(
-                        graph, eff, deadline=deadline))
-                    if got is ReplayInvalid:
-                        refused += 1
-                        continue
-                    served += 1
-                    assert got == _outcome(lambda: simulate_candidate(
-                        sig, cand, params, deadline=deadline)), \
+                    assert _outcome(lambda: replay_kernel(
+                        graph, eff, deadline=deadline)) == _outcome(
+                            lambda: simulate_candidate(
+                                sig, cand, params, deadline=deadline)), \
                         (cand.key, field, factor, scale)
-        assert served and (p == 2 or refused)
 
     def test_false_prune_repro(self):
-        """p=3, nd8 graph under nic_bandwidth x0.9: the queue reorders, so
-        the replay must refuse at every deadline — it used to report
-        DeadlineExceeded just past the live finish."""
+        """p=3, nd8 graph under nic_bandwidth x0.9 reorders a queue: a
+        replay that froze the recorded order reported DeadlineExceeded just
+        past the live finish, then refused; now it is served, bit-equal."""
         tuner = Tuner(replay="on")
         record = tuner.autotune_ssc(3, _N)
         wl = record.signature.workload_key
@@ -307,9 +489,9 @@ class TestDeadlineVerdict:
         base = NetworkParams()
         params = base.replace(nic_bandwidth=0.9 * base.nic_bandwidth)
         eff = effective_params(cand, params)
-        _kt, world = simulate_candidate(
-            signature_for_ssc(3, _N, params=params), cand, params)
+        sig = signature_for_ssc(3, _N, params=params)
+        _kt, world = simulate_candidate(sig, cand, params)
         for deadline in (None, world * (1 + 1e-9), world * 1.0005):
-            with pytest.raises(ReplayInvalid):
-                replay_kernel(tuner.graph_cache[wl, key], eff,
-                              deadline=deadline)
+            assert replay_kernel(tuner.graph_cache[wl, key], eff,
+                                 deadline=deadline) \
+                == simulate_candidate(sig, cand, params, deadline=deadline)

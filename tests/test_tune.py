@@ -284,6 +284,29 @@ class TestReplayBackend:
         assert out.replays == 0
         assert out.simulations == first.simulations
         assert all(rec.valid for rec in cache.values())
+        # ... and the outcome says why, per candidate.
+        scored = {e.candidate.key for e in first.trace
+                  if e.sim_time is not None or e.status == "pruned-deadline"}
+        assert set(out.refusals) == scored
+        assert all(reason == "recording invalid: poisoned by test"
+                   for reason in out.refusals.values())
+        assert not first.refusals
+
+    def test_tuner_counts_fallbacks_by_reason(self):
+        base = NetworkParams()
+        tuner = Tuner(replay="on")
+        tuner.autotune_ssc(2, 64, params=base)
+        for rec in tuner.graph_cache.values():
+            rec.invalidate("poisoned by test")
+        tuner.autotune_ssc(2, 64, params=base.replace(alpha=2 * base.alpha))
+        assert tuner.replays == 0 and tuner.replay_aborts == 0
+        assert tuner.replay_refusals == {
+            "recording invalid: poisoned by test": len(tuner.graph_cache)}
+        # A served re-tune adds nothing, and leaves no fold behind.
+        tuner.autotune_ssc(2, 64, params=base.replace(alpha=3 * base.alpha))
+        assert tuner.replays == len(tuner.graph_cache)
+        assert sum(tuner.replay_refusals.values()) == len(tuner.graph_cache)
+        assert all(rec._plan is None for rec in tuner.graph_cache.values())
 
     def test_unknown_replay_mode_rejected(self):
         from repro.tune.search import search
@@ -368,6 +391,16 @@ class TestCLI:
         assert out.read_bytes() == db.read_bytes()
         text = capsys.readouterr().out
         assert "best" in text and "exported 1 record(s)" in text
+
+    def test_replay_lines_name_each_fallback_reason(self):
+        from repro.tune.cli import _replay_lines
+
+        line = _replay_lines(3, 1, {"b reason": 2, "a reason": 1})
+        assert line.splitlines() == [
+            "replays: 3 (1 cut short by the deadline)  replay fallbacks: 3",
+            "  fell back x1: a reason",
+            "  fell back x2: b reason",
+        ]
 
     def test_search_requires_mesh_args(self, capsys):
         from repro.tune.cli import main

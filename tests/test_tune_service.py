@@ -409,8 +409,8 @@ class TestRecordingRoundtrip:
     def test_schema_and_shape_validation(self, tmp_path):
         rec = self._recording()
         doc = rec.to_jsonable()
-        assert doc["schema"] == DUMP_SCHEMA == 3
-        for other in (2, 99):       # the per-node-list format, the future
+        assert doc["schema"] == DUMP_SCHEMA == 4
+        for other in (2, 3, 99):    # per-node lists, frozen queues, the future
             with pytest.raises(ReplayInvalid, match="schema"):
                 load_recording(dict(doc, schema=other))
 
