@@ -1,16 +1,19 @@
 """Engine-driven execution of collective schedules.
 
 One :class:`ScheduleRunner` executes one rank's schedule for one collective
-operation.  It is *not* a generator: rounds are chained by event callbacks,
-so a nonblocking collective progresses while the owning rank computes or
-posts other operations (the MPI-3 progress semantics the paper's
-"nonblocking overlap" technique depends on).
+operation.  It is *not* a generator: rounds are chained by the callbacks
+of the transport's ``post_send_cb`` / ``post_recv_cb`` (a
+collective-internal message allocates no request and no event), so a
+nonblocking collective progresses while the owning rank computes or posts
+other operations (the MPI-3 progress semantics the paper's "nonblocking
+overlap" technique depends on).
 
 Timing semantics
 ----------------
 * All of a round's sends and receives are posted together; the round
   finishes when every send has completed, every receive has arrived, and
   every reduction combine queued on the rank's progress engine has drained.
+  Rounds where this rank has no op are skipped without posting anything.
 * ``blocking=True`` inserts ``NetworkParams.blocking_round_gap`` before each
   round after the first: a blocking collective synchronizes at round
   boundaries (it cannot pre-post the next round), while a pre-posted
@@ -40,6 +43,11 @@ from repro.sim.engine import SimEvent
 class ScheduleRunner:
     """Executes one rank's rounds of one collective operation."""
 
+    __slots__ = ("world", "comm", "me_global", "tag", "plan", "buf",
+                 "itemsize", "blocking", "done", "_stage_label", "_add_label",
+                 "_round", "_pending", "_started", "_batching", "_add_batch",
+                 "_rec_acc")
+
     def __init__(
         self,
         world,
@@ -54,7 +62,6 @@ class ScheduleRunner:
     ):
         self.world = world
         self.comm = comm
-        self.me_local = me_local
         self.me_global = comm.ranks[me_local]
         self.tag = tag
         if isinstance(schedule, CollectivePlan):
@@ -62,17 +69,18 @@ class ScheduleRunner:
         else:  # raw list-of-rounds schedule from outside the plan cache
             plan = CollectivePlan.from_schedule(schedule, itemsize)
         self.plan = plan
-        self.schedule = plan.rounds
         self.buf = buf
         self.itemsize = int(itemsize)
         self.blocking = blocking
-        self.label = label
-        self._channel = comm.channel  # fabric lane of every round's sends
-        # Static event name ("coll" surfaces only in engine error messages);
-        # the per-op progress labels are precomputed once per runner.
+        # Static event name ("coll" surfaces only in engine error messages).
         self.done: SimEvent = world.engine.event("coll")
-        self._stage_label = f"{label}:stage"
-        self._add_label = f"{label}:add"
+        # Progress-task labels surface only in trace spans: untraced runs
+        # skip the per-runner string building.
+        if world.trace.enabled:
+            self._stage_label = f"{label}:stage"
+            self._add_label = f"{label}:add"
+        else:
+            self._stage_label = self._add_label = label
         self._round = 0
         self._pending = 0
         self._started = False
@@ -87,7 +95,7 @@ class ScheduleRunner:
         if self._started:
             raise RuntimeError("ScheduleRunner started twice")
         self._started = True
-        if getattr(self.world, "verify_plans", False) and self.plan.key is not None:
+        if self.world.verify_plans and self.plan.key is not None:
             # Opt-in debug gate: statically prove the whole cross-rank plan
             # set sound before executing it (memoized per plan key).  Raw
             # schedules (key=None) have no registry set to rebuild; the raw
@@ -98,84 +106,69 @@ class ScheduleRunner:
         self._advance()
         return self.done
 
-    def _round_gap(self, i: int, ops) -> float:
-        """Blocking-synchronization gap for round ``i``.
-
-        The gap models rendezvous/arrival-skew synchronization between
-        blocking rounds; rounds that only move eager-sized messages
-        complete without it (small blocking collectives are latency-bound,
-        not skew-bound).  The plan precomputes each round's maximum op
-        size, so the test is one comparison.
-        """
-        if not self.blocking or i == 0 or not ops:
-            return 0.0
-        if self.plan.round_max_nbytes[i] > self.world.params.rendezvous_threshold:
-            return self.world.params.blocking_round_gap
-        return 0.0
-
     def _advance(self) -> None:
-        """Run consecutive rounds until one has pending events (or finish)."""
-        while self._round < len(self.schedule):
+        """Run rounds until one has pending completions (or all are done)."""
+        plan = self.plan
+        rounds = plan.rounds
+        while self._round < len(rounds):
             i = self._round
-            ops = self.schedule[i]
-            gap = self._round_gap(i, ops)
-            if gap > 0.0 and ops:
-                self._round_after_gap(gap)
+            if not rounds[i]:  # this rank idles in the round (tree schedules)
+                self._round += 1
+                continue
+            if self.blocking and i:
+                # Blocking rounds synchronize (rendezvous / arrival skew)
+                # before each round after the first; rounds that move only
+                # eager-sized messages complete without the gap (small
+                # blocking collectives are latency-bound, not skew-bound).
+                params = self.world.params
+                gap = params.blocking_round_gap
+                if (plan.round_max_nbytes[i] > params.rendezvous_threshold
+                        and gap > 0.0):
+                    self.world.engine.schedule_after(gap, self._run_after_gap,
+                                                     i)
+                    return
+            if not self._run_round(i):
                 return
-            self._pending = 1  # guard against same-tick completion re-entry
-            self._post_round(ops)
-            self._pending -= 1
-            if self._pending > 0:
-                return
-            self._rec_round_end()
-            self._round += 1
         self.done.succeed(None)
 
-    def _rec_round_end(self) -> None:
-        """Recording: a round ends at the max over its completions' instants
-        — fold the accumulated join into the causal context the next round
-        (or the done event) chains from."""
-        eng = self.world.engine
-        rec = eng.recorder
-        if rec is not None and self._rec_acc is not None:
-            eng._rec_ctx = rec.join2(self._rec_acc, eng._rec_ctx)
-            self._rec_acc = None
-
-    def _round_after_gap(self, gap: float) -> None:
-        self.world.engine.schedule_after(gap, self._resume_after_gap)
-
-    def _resume_after_gap(self) -> None:
-        ops = self.schedule[self._round]
-        self._pending = 1
-        self._post_round(ops)
-        self._pending -= 1
-        if self._pending == 0:
-            self._rec_round_end()
-            self._round += 1
+    def _run_after_gap(self, i: int) -> None:
+        if self._run_round(i):
             self._advance()
 
-    def _post_round(self, ops) -> None:
-        transport = self.world.transport
+    def _run_round(self, i: int) -> bool:
+        """Post round ``i``; True if it also completed synchronously."""
+        world = self.world
+        transport = world.transport
         cid = self.comm.cid
         buf = self.buf
         ranks = self.comm.ranks
+        me = self.me_global
+        tag = self.tag
+        channel = self.comm.channel  # fabric lane of every round's sends
+        # A send's completion joins the posting context (None when not
+        # recording), as any callback registered at post time does; recorded
+        # graphs keep that node structure (pinned in test_replay_storage).
+        post = world.engine._rec_ctx
         # Rounds with several nonzero adds batch the combines of payloads
         # that arrive synchronously while posting (eager sends already in
         # the unexpected queue) into one vectorized apply + one merged
         # progress submission.  Single-add rounds — every generator in
         # algorithms.py — take the unbatched path bit-for-bit unchanged.
-        batch = buf is not None and self.plan.round_adds[self._round] >= 2
+        batch = buf is not None and self.plan.round_adds[i] >= 2
         if batch:
             self._batching = True
-            rec = self.world.engine.recorder
+            rec = world.engine.recorder
             if rec is not None:
                 # Whether a payload lands in the batch depends on arrival
                 # timing relative to the posting loop — not expressible in
                 # the graph.  (Tuner/golden runs are modeled-mode, buf=None.)
                 rec.invalidate("numeric-mode add batching")
-        for op in ops:
-            kind, peer_local, lo, hi, nbytes, needs_copy = op
-            peer_global = ranks[peer_local]
+        # Each op is counted before it is posted (its callback may run
+        # inside the post); the extra 1 guards against the round completing
+        # while it is still being posted.
+        self._pending = 1
+        for kind, peer_local, lo, hi, nbytes, needs_copy in self.plan.rounds[i]:
+            self._pending += 1
             if kind == "send":
                 if buf is None:
                     data = SIZE_ONLY
@@ -184,68 +177,66 @@ class ScheduleRunner:
                     # on this rank overlaps the range (plan may-alias bit)
                 else:
                     data = buf[lo:hi]  # zero-copy view: provably alias-free
-                req = transport.post_send(
-                    cid, self.me_global, peer_global, self.tag, nbytes, data,
-                    self._channel,
-                )
-                self._track(req.done, None, lo, hi)
+                transport.post_send_cb(cid, me, ranks[peer_local], tag, nbytes,
+                                       data, channel, self._complete_one, post)
             elif kind == "copy":
-                req = transport.post_recv(cid, self.me_global, peer_global, self.tag)
-                self._track(req.done, "copy", lo, hi)
+                transport.post_recv_cb(cid, me, ranks[peer_local], tag,
+                                       self._copy_arrived, lo, hi)
             elif kind == "add":
-                req = transport.post_recv(cid, self.me_global, peer_global, self.tag)
-                self._track(req.done, "add", lo, hi)
+                transport.post_recv_cb(cid, me, ranks[peer_local], tag,
+                                       self._add_arrived, lo, hi)
             else:  # pragma: no cover - schedules are validated
                 raise ValueError(f"unknown op kind {kind!r}")
         if batch:
             self._batching = False
             if self._add_batch:
                 self._flush_add_batch()
+        self._pending -= 1
+        if self._pending > 0:
+            return False
+        rec = world.engine.recorder
+        if rec is not None and self._rec_acc is not None:
+            # The round ends at the max over its completions' instants: the
+            # next round (or the done event) chains from that join.
+            world.engine._rec_ctx = rec.join2(self._rec_acc,
+                                              world.engine._rec_ctx)
+            self._rec_acc = None
+        self._round += 1
+        return True
 
-    def _track(self, event: SimEvent, action: str | None, lo: int, hi: int) -> None:
-        self._pending += 1
-        if action is None:
-            event.add_callback(self._on_plain_done)
+    def _copy_arrived(self, lo: int, hi: int, value) -> None:
+        if value is not SIZE_ONLY and self.buf is not None:
+            self.buf[lo:hi] = value
+        # Stage the received bytes through the internal buffer (pack/unpack)
+        # on the process's progress engine.
+        copy_bytes = (hi - lo) * self.itemsize
+        if copy_bytes > 0:
+            self.world.progress_of(self.me_global).submit_cb(
+                copy_bytes / self.world.params.round_copy_bandwidth,
+                self._stage_label, self._complete_one,
+            )
         else:
-            event.add_callback(self._on_op_done, action, lo, hi)
+            self._complete_one()
 
-    def _on_plain_done(self, _ev: SimEvent) -> None:
-        self._complete_one()
-
-    def _on_op_done(self, ev: SimEvent, action: str, lo: int, hi: int) -> None:
-        value = ev.value
+    def _add_arrived(self, lo: int, hi: int, value) -> None:
         if value is SIZE_ONLY:
             value = None  # symbolic payload from a sizes-only sender
-        if action == "copy":
-            if self.buf is not None and value is not None:
-                self.buf[lo:hi] = value
-            # Stage the received bytes through the internal buffer
-            # (pack/unpack) on the process's progress engine.
-            copy_bytes = (hi - lo) * self.itemsize
-            if copy_bytes > 0:
-                self.world.progress_of(self.me_global).submit_cb(
-                    copy_bytes / self.world.params.round_copy_bandwidth,
-                    self._stage_label, self._complete_one,
-                )
-            else:
-                self._complete_one()
-        else:  # "add"
-            combine_bytes = (hi - lo) * self.itemsize
-            if self._batching and combine_bytes > 0:
-                # Arrived synchronously while _post_round was still posting
-                # this round; coalesced into one flush at the end of the loop.
-                self._add_batch.append((lo, hi, value, combine_bytes))
-                return
-            if self.buf is not None and value is not None:
-                dst = self.buf[lo:hi]
-                np.add(dst, value, out=dst)
-            if combine_bytes > 0:
-                self.world.progress_of(self.me_global).submit_cb(
-                    combine_bytes / self.world.params.combine_bandwidth,
-                    self._add_label, self._complete_one,
-                )
-            else:
-                self._complete_one()
+        combine_bytes = (hi - lo) * self.itemsize
+        if self._batching and combine_bytes > 0:
+            # Arrived synchronously while _run_round was still posting this
+            # round; coalesced into one flush at the end of the loop.
+            self._add_batch.append((lo, hi, value, combine_bytes))
+            return
+        if self.buf is not None and value is not None:
+            dst = self.buf[lo:hi]
+            np.add(dst, value, out=dst)
+        if combine_bytes > 0:
+            self.world.progress_of(self.me_global).submit_cb(
+                combine_bytes / self.world.params.combine_bandwidth,
+                self._add_label, self._complete_one,
+            )
+        else:
+            self._complete_one()
 
     def _flush_add_batch(self) -> None:
         """Apply batched same-round add payloads in one vectorized pass.
@@ -274,11 +265,14 @@ class ScheduleRunner:
         self._pending -= n - 1
         self._complete_one()
 
-    def _complete_one(self) -> None:
+    def _complete_one(self, post=None) -> None:
+        """One op of the round in flight is done; ``post`` is the posting
+        context a send's completion joins (recording only)."""
         eng = self.world.engine
         rec = eng.recorder
         if rec is not None:
-            self._rec_acc = rec.join2(self._rec_acc, eng._rec_ctx)
+            self._rec_acc = rec.join2(self._rec_acc,
+                                      rec.join2(eng._rec_ctx, post))
         self._pending -= 1
         if self._pending == 0:
             if rec is not None:

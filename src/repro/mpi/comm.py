@@ -233,7 +233,7 @@ class CommView:
             self.comm.cid, self.gr, self.comm.ranks[dest], utag, nbytes, data,
             self.comm.channel,
         )
-        verifier = getattr(self.world, "verifier", None)
+        verifier = self.world.verifier
         if verifier is not None:
             verifier.on_p2p_posted(
                 req, "isend", self.gr, peer=self.comm.ranks[dest],
@@ -253,7 +253,7 @@ class CommView:
         req = self.world.transport.post_recv(
             self.comm.cid, self.gr, self.comm.ranks[source], utag
         )
-        verifier = getattr(self.world, "verifier", None)
+        verifier = self.world.verifier
         if verifier is not None:
             verifier.on_p2p_posted(
                 req, "irecv", self.gr, peer=self.comm.ranks[source],
@@ -293,7 +293,7 @@ class CommView:
     def _start(self, schedule, buf, itemsize, blocking, label, result=_UNSET,
                *, root=None, op_nbytes: int = 0) -> Request:
         tag = self._next_tag()
-        verifier = getattr(self.world, "verifier", None)
+        verifier = self.world.verifier
         site = None
         if verifier is not None:
             site = verifier.on_collective_posted(
@@ -358,7 +358,7 @@ class CommView:
         if arr is not None:
             # The working copy never aliases user memory, so the RA103 hazard
             # check must run against the original send buffer.
-            verifier = getattr(self.world, "verifier", None)
+            verifier = self.world.verifier
             if verifier is not None:
                 verifier.check_buffer(self.gr, arr, label)
             arr = arr.copy()  # reductions must not clobber the user's data

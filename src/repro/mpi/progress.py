@@ -46,55 +46,22 @@ class ProgressEngine:
         rec = eng.recorder
         if self.faults is not None:
             rec.invalidate("fault plan dilates progress work")
-        arr = eng._rec_ctx
-        if arr is None:
-            arr = rec.const(eng.now)
-        return rec.task(self.rank, arr, duration)
+        return rec.task(self.rank, eng._rec_now(), duration)
 
     def submit(self, duration: float, label: str = "combine") -> SimEvent:
-        """Enqueue ``duration`` seconds of processing; event fires when done.
+        """:meth:`submit_cb` firing a returned event when the work is done."""
+        ev = self.engine.event("progress")
+        self.submit_cb(duration, label, ev.succeed)
+        return ev
+
+    def submit_cb(self, duration: float, label: str, fn, *args) -> None:
+        """Enqueue ``duration`` seconds of processing; ``fn(*args)`` runs
+        when it is done.
 
         Zero-duration tasks complete immediately if the engine is idle (no
         event round-trip), keeping barrier-like bookkeeping free.  Straggler
         windows of an attached FaultPlan dilate the queued work: the task
         still occupies the single progress context, just for longer.
-        """
-        if duration < 0:
-            raise ValueError(f"negative duration: {duration}")
-        now = self.engine.now
-        start = max(now, self.busy_until)
-        if self.faults is not None and duration > 0:
-            finish = self.faults.compute_finish(self.rank, start, duration)
-        else:
-            finish = start + duration
-        self.busy_until = finish
-        self.total_busy += finish - start
-        ev = self.engine.event("progress")
-        if self.trace is not None and self.trace.enabled and duration > 0:
-            self.trace.add(self.rank, start, finish, SpanKind.COMPUTE, f"progress:{label}")
-        rec = self.engine.recorder
-        if rec is None:
-            if finish <= now:
-                ev.succeed(None)
-            else:
-                self.engine.call_at(finish, ev.succeed)
-            return ev
-        finish_node = self._rec_track(duration)
-        if finish <= now:
-            saved = self.engine._rec_ctx
-            self.engine._rec_ctx = finish_node
-            ev.succeed(None)
-            self.engine._rec_ctx = saved
-        else:
-            self.engine._rec_pending = finish_node
-            self.engine.call_at(finish, ev.succeed)
-        return ev
-
-    def submit_cb(self, duration: float, label: str, fn, *args) -> None:
-        """Like :meth:`submit`, but invokes ``fn(*args)`` on completion
-        instead of allocating a :class:`~repro.sim.engine.SimEvent` — the
-        collective executor's per-op fast path.  Accounting, fault dilation,
-        and trace spans are identical to :meth:`submit`.
         """
         if duration < 0:
             raise ValueError(f"negative duration: {duration}")

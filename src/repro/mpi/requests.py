@@ -41,7 +41,7 @@ def _record_wait_span(world, rank: int, t0: float, label: str) -> None:
 class Request:
     """Handle for an in-flight nonblocking operation."""
 
-    __slots__ = ("world", "rank", "label", "done", "_result", "_rec_ctx")
+    __slots__ = ("world", "rank", "label", "done", "_result")
 
     def __init__(self, world, rank: int, label: str, done: SimEvent):
         self.world = world
@@ -49,19 +49,19 @@ class Request:
         self.label = label
         self.done = done
         self._result: Any = None
-        self._rec_ctx = None  # recording: graph node of the posting instant
 
     def set_result(self, value: Any) -> None:
         """Record the value :meth:`wait` will return (set by the layer below)."""
         self._result = value
 
+    def complete(self, value: Any) -> None:
+        """Set the result and fire the completion event (a receive landed)."""
+        self._result = value
+        self.done.succeed(value)
+
     @property
     def result(self) -> Any:
         return self._result
-
-    @property
-    def _verifier(self):
-        return getattr(self.world, "verifier", None)
 
     def test(self) -> bool:
         """Nonblocking completion check (MPI_Test).
@@ -76,14 +76,14 @@ class Request:
             engine.recorder.invalidate("Request.test polling")
         fired = self.done.fired
         if fired:
-            v = self._verifier
+            v = self.world.verifier
             if v is not None:
                 v.mark_consumed(self)
         return fired
 
     def wait(self):
         """Generator: suspend until completion; returns the payload (MPI_Wait)."""
-        v = self._verifier
+        v = self.world.verifier
         t0 = self.world.engine.now
         if not self.done.fired:
             if v is not None:
@@ -122,7 +122,7 @@ def waitall(requests: list[Request]):
         return []
     world = requests[0].world
     rank = requests[0].rank
-    v = getattr(world, "verifier", None)
+    v = world.verifier
     label = f"waitall[{len(requests)}]"
     t0 = world.engine.now
     if v is not None:
@@ -162,7 +162,7 @@ def waitany(requests: list[Request]):
         )
     world = requests[0].world
     rank = requests[0].rank
-    v = getattr(world, "verifier", None)
+    v = world.verifier
     if world.engine.recorder is not None:
         world.engine.recorder.invalidate("waitany race")
     for idx, req in enumerate(requests):

@@ -15,10 +15,15 @@ rendezvous (large messages)
     handshake adds ``rendezvous_extra`` latency and the send completes with
     the transfer.
 
-The transport is *engine-driven*: posting functions are plain calls that
-return :class:`~repro.mpi.requests.Request` objects, so both user-level
-``isend``/``irecv`` wrappers (which add CPU overheads) and collective
-schedules (driven by the progress machinery) share one code path.
+The transport is *engine-driven*: one implementation, two entry forms.
+``post_send_cb`` / ``post_recv_cb`` run a completion callback ``fn(*args)``
+(a receive appends the payload) and allocate only the message's own state —
+the collective executor posts every op this way.  ``post_send`` /
+``post_recv`` wrap them for user-level ``isend``/``irecv``: they allocate a
+:class:`~repro.mpi.requests.Request` and complete it from that callback.
+The callback runs after matching for an eager send, with the wire transfer
+for a rendezvous send, and at delivery (``max(arrival, recv post)`` in a
+recorded graph) for a receive.
 
 Fault injection: when the world carries a
 :class:`~repro.sim.faults.FaultPlan`, every payload transmission (the eager
@@ -35,35 +40,46 @@ envelope.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
 from repro.mpi.requests import Request
-from repro.sim.engine import SimulationError
+from repro.sim.engine import SimEvent, SimulationError
 from repro.sim.trace import SpanKind
 
 
 class _SendState:
-    __slots__ = ("src", "dst", "nbytes", "data", "eager", "request", "arrived",
-                 "recv", "attempt", "rec_post", "rec_arr", "channel", "op")
+    __slots__ = ("src", "dst", "nbytes", "data", "eager", "fn", "args",
+                 "arrived", "recv", "attempt", "rec_post", "rec_arr",
+                 "channel", "op")
 
-    def __init__(self, src, dst, nbytes, data, eager, request, channel=0,
-                 op=None):
+    def __init__(self, src, dst, nbytes, data, eager, fn, args, channel, op):
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
         self.data = data
         self.eager = eager
-        self.request = request
+        self.fn = fn               # completion callback fn(*args)
+        self.args = args
         self.channel = channel     # fabric lane of the payload transfer
         self.op = op               # (cid, tag) operation key (flow-log
         #                            attribution: one collective instance or
         #                            one p2p envelope stream per key)
         self.arrived = False       # eager payload landed before recv posted
-        self.recv: Request | None = None
+        self.recv: _RecvState | None = None
         self.attempt = 0           # dropped-transmission retry counter
         self.rec_post = None       # recording: graph node of the send post
         self.rec_arr = None        # recording: graph node of payload arrival
+
+
+class _RecvState:
+    """A posted receive: delivery calls ``fn(*args, payload)``."""
+
+    __slots__ = ("fn", "args", "rec_post")
+
+    def __init__(self, fn, args, rec_post):
+        self.fn = fn
+        self.args = args
+        self.rec_post = rec_post   # recording: graph node of the recv post
 
 
 class Transport:
@@ -73,9 +89,11 @@ class Transport:
         self.world = world
         self._engine = world.engine
         self._params = world.params
-        # key -> deque of pending recv Requests / unmatched _SendStates
-        self._recv_q: dict[tuple, deque] = {}
-        self._send_q: dict[tuple, deque] = {}
+        # key -> FIFO of pending _RecvStates / unmatched _SendStates.  Keys
+        # leave with their last entry (collective tags are never reused),
+        # and a queue rarely holds more than one entry, so it is a list.
+        self._recv_q: dict[tuple, list] = {}
+        self._send_q: dict[tuple, list] = {}
         # Request labels, interned per peer rank: the f-string cost is per
         # distinct peer, not per message (labels surface in WAIT spans).
         self._send_labels: dict[int, str] = {}
@@ -86,105 +104,112 @@ class Transport:
 
     # -- posting ---------------------------------------------------------------
 
-    def post_send(
-        self,
-        cid: int,
-        src: int,
-        dst: int,
-        tag: int,
-        nbytes: int,
-        data: Any = None,
-        channel: int = 0,
-    ) -> Request:
-        """Post a send of ``nbytes`` from global rank ``src`` to ``dst``.
+    def post_send_cb(self, cid: int, src: int, dst: int, tag, nbytes: int,
+                     data: Any, channel: int, fn, *args) -> None:
+        """Post a send of ``nbytes`` from global rank ``src`` to ``dst``;
+        ``fn(*args)`` runs when it completes per the protocol rules above.
 
-        Returns a request completing per the protocol rules above.  ``data``
-        is an arbitrary payload delivered to the matching receive (``None``
-        in modeled-size-only runs).  ``channel`` selects the fabric lane the
-        payload transfer shares bandwidth on (matching is channel-blind —
-        the communicator id already isolates envelopes).
+        ``data`` is an arbitrary payload delivered to the matching receive
+        (``None`` in modeled-size-only runs).  ``channel`` selects the
+        fabric lane the payload transfer shares bandwidth on (matching is
+        channel-blind — the communicator id already isolates envelopes).
         """
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
         eager = nbytes <= self._params.rendezvous_threshold
-        # Static event name: SimEvent names only surface in engine error
-        # messages, and the per-message f-string shows up in profiles.
-        done = self._engine.event("send")
-        label = self._send_labels.get(dst)
-        if label is None:
-            label = self._send_labels[dst] = f"send->r{dst}"
-        req = Request(self.world, src, label, done)
-        state = _SendState(src, dst, nbytes, data, eager, req, channel,
+        state = _SendState(src, dst, nbytes, data, eager, fn, args, channel,
                            (cid, tag))
         rec = self._engine.recorder
         if rec is not None:
-            ctx = self._engine._rec_ctx
-            state.rec_post = ctx if ctx is not None else rec.const(
-                self._engine.now)
-        key = (cid, dst, src, tag)
+            state.rec_post = self._engine._rec_now()
         if eager:
-            # Ship immediately; sender is free as soon as posted.
-            self._transmit(state)
-            done.succeed(None)
+            self._transmit(state)  # ship now; the sender is free once posted
+        key = (cid, dst, src, tag)
         rq = self._recv_q.get(key)
-        if rq:
-            recv = rq.popleft()
-            self._matched(state, recv)
+        if rq is not None:
+            state.recv = rq.pop(0)
+            if not rq:
+                del self._recv_q[key]
+            if not eager:
+                self._start_rendezvous(state)
         else:
-            q = self._send_q.setdefault(key, deque())
-            verifier = self.world.verifier
-            if q and verifier is not None:
-                verifier.on_envelope_collision("send", cid, src, dst, tag,
-                                               nbytes)
+            q = self._send_q.setdefault(key, [])
+            if q and self.world.verifier is not None:
+                self.world.verifier.on_envelope_collision(
+                    "send", cid, src, dst, tag, nbytes)
             q.append(state)
+        if eager:
+            if rec is None:
+                fn(*args)
+            else:
+                self._run_in(state.rec_post, fn, args)
+
+    def post_recv_cb(self, cid: int, dst: int, src: int, tag, fn,
+                     *args) -> None:
+        """Post a receive at global rank ``dst`` for (``src``, ``tag``);
+        delivery calls ``fn(*args, payload)``."""
+        engine = self._engine
+        recv = _RecvState(fn, args, None if engine.recorder is None
+                          else engine._rec_now())
+        key = (cid, dst, src, tag)
+        sq = self._send_q.get(key)
+        if sq is not None:
+            state = sq.pop(0)
+            if not sq:
+                del self._send_q[key]
+            state.recv = recv
+            if not state.eager:
+                self._start_rendezvous(state)
+            elif state.arrived:
+                self._deliver(state)
+            # else: the eager flow's completion delivers.
+        else:
+            q = self._recv_q.setdefault(key, [])
+            if q and self.world.verifier is not None:
+                self.world.verifier.on_envelope_collision(
+                    "recv", cid, src, dst, tag, 0)
+            q.append(recv)
+
+    def post_send(self, cid: int, src: int, dst: int, tag, nbytes: int,
+                  data: Any = None, channel: int = 0) -> Request:
+        """:meth:`post_send_cb` completing a returned :class:`Request`."""
+        label = self._send_labels.get(dst)
+        if label is None:
+            label = self._send_labels[dst] = f"send->r{dst}"
+        req = Request(self.world, src, label, SimEvent(self._engine, "send"))
+        self.post_send_cb(cid, src, dst, tag, nbytes, data, channel,
+                          req.done.succeed)
         return req
 
-    def post_recv(self, cid: int, dst: int, src: int, tag: int) -> Request:
-        """Post a receive at global rank ``dst`` for (``src``, ``tag``)."""
-        done = self._engine.event("recv")
+    def post_recv(self, cid: int, dst: int, src: int, tag) -> Request:
+        """:meth:`post_recv_cb` completing a returned :class:`Request`."""
         label = self._recv_labels.get(src)
         if label is None:
             label = self._recv_labels[src] = f"recv<-r{src}"
-        req = Request(self.world, dst, label, done)
-        rec = self._engine.recorder
-        if rec is not None:
-            ctx = self._engine._rec_ctx
-            req._rec_ctx = ctx if ctx is not None else rec.const(
-                self._engine.now)
-        key = (cid, dst, src, tag)
-        sq = self._send_q.get(key)
-        if sq:
-            state = sq.popleft()
-            self._matched(state, req)
-        else:
-            q = self._recv_q.setdefault(key, deque())
-            verifier = self.world.verifier
-            if q and verifier is not None:
-                verifier.on_envelope_collision("recv", cid, src, dst, tag, 0)
-            q.append(req)
+        req = Request(self.world, dst, label, SimEvent(self._engine, "recv"))
+        self.post_recv_cb(cid, dst, src, tag, req.complete)
         return req
 
     # -- protocol internals ------------------------------------------------------
 
-    def _matched(self, state: _SendState, recv: Request) -> None:
-        state.recv = recv
-        if state.eager:
-            if state.arrived:
-                self._deliver(state)
-            # else: flow-completion callback delivers.
+    def _run_in(self, node, fn, args) -> None:
+        """Recording: run ``fn(*args)`` with ``node`` as the causal context."""
+        engine = self._engine
+        saved = engine._rec_ctx
+        engine._rec_ctx = node
+        fn(*args)
+        engine._rec_ctx = saved
+
+    def _start_rendezvous(self, state: _SendState) -> None:
+        """Both sides of a rendezvous message are posted: move the data."""
+        rec = self._engine.recorder
+        if rec is None:
+            self._transmit(state)
         else:
-            # Rendezvous: transfer starts now that both sides are present.
-            rec = self._engine.recorder
-            if rec is not None:
-                # The wire transfer starts at max(send post, recv post)
-                # under any constants — a join, not "now".
-                saved = self._engine._rec_ctx
-                self._engine._rec_ctx = rec.join2(state.rec_post,
-                                                  recv._rec_ctx)
-                self._transmit(state)
-                self._engine._rec_ctx = saved
-            else:
-                self._transmit(state)
+            # The wire transfer starts at max(send post, recv post) under
+            # any constants — a join, not "now".
+            self._run_in(rec.join2(state.rec_post, state.recv.rec_post),
+                         self._transmit, (state,))
 
     def _transmit(self, state: _SendState) -> None:
         """Put a payload on the wire; dropped attempts retry with backoff."""
@@ -234,28 +259,25 @@ class Transport:
             self._deliver(state)
 
     def _rendezvous_done(self, state: _SendState) -> None:
-        if self._engine.recorder is not None:
+        if self._engine.recorder is None:
+            state.fn(*state.args)
+        else:
             state.rec_arr = self._engine._rec_ctx  # the flow's graph node
-        state.request.done.succeed(None)
+            self._run_in(state.rec_arr, state.fn, state.args)
         self._deliver(state)
 
     def _deliver(self, state: _SendState) -> None:
         recv = state.recv
-        assert recv is not None
         engine = self._engine
         rec = engine.recorder
-        if rec is not None:
+        if rec is None:
+            recv.fn(*recv.args, state.data)
+        else:
             # Delivery happens at max(payload arrival, recv post): for a
             # late-posted eager recv "now" is the recv post, but under
             # perturbed constants either side may dominate.
-            saved = engine._rec_ctx
-            engine._rec_ctx = rec.join2(state.rec_arr, recv._rec_ctx)
-            recv.set_result(state.data)
-            recv.done.succeed(state.data)
-            engine._rec_ctx = saved
-        else:
-            recv.set_result(state.data)
-            recv.done.succeed(state.data)
+            self._run_in(rec.join2(state.rec_arr, recv.rec_post), recv.fn,
+                         recv.args + (state.data,))
 
     # -- diagnostics ----------------------------------------------------------------
 
@@ -281,7 +303,7 @@ class Transport:
         recvs = [
             {"cid": cid, "src": src, "dst": dst, "tag": tag}
             for (cid, dst, src, tag), q in sorted(self._recv_q.items())
-            for _req in q
+            for _recv in q
         ]
         return sends, recvs
 

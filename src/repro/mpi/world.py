@@ -142,9 +142,7 @@ class World:
             eng = self.engine
 
             def _mark_done(_ev, _key=key, _eng=eng, _rec=rec):
-                ctx = _eng._rec_ctx
-                _rec.mark(_key, ctx if ctx is not None
-                          else _rec.const(_eng.now))
+                _rec.mark(_key, _eng._rec_now())
 
             proc.done.add_callback(_mark_done)
         self._procs.append(proc)
@@ -221,10 +219,7 @@ class RankEnv:
         kernels' per-iteration spans).  No-op unless the world records."""
         rec = self.world.engine.recorder
         if rec is not None:
-            eng = self.world.engine
-            ctx = eng._rec_ctx
-            rec.mark((label, self.rank, idx),
-                     ctx if ctx is not None else rec.const(eng.now))
+            rec.mark((label, self.rank, idx), self.world.engine._rec_now())
 
     def in_comm(self, comm: Comm) -> bool:
         return comm.contains(self.rank)

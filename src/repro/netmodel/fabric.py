@@ -465,11 +465,8 @@ class Fabric:
         if rec is not None:
             if self.faults is not None:
                 rec.invalidate("fault plan attached to the fabric")
-            post = engine._rec_ctx
-            if post is None:
-                post = rec.const(engine.now)
             flow.rec_node = rec.flow(src_rank, dst_rank, nbytes,
-                                     extra_latency, post, channel)
+                                     extra_latency, engine._rec_now(), channel)
             # The fabric's internal events (activation batches, completion
             # timers) are replayed by the fabric itself — suppress graph
             # nodes for the scheduling below.

@@ -145,10 +145,7 @@ class SimEvent:
         # Recording: each waiter resumes no earlier than both the firing
         # instant and its own registration instant, whichever is later under
         # perturbed constants — a max-plus join of the two graph nodes.
-        ctx = engine._rec_ctx
-        if ctx is None:
-            ctx = rec.const(engine.now)
-        self._rec_fire = ctx
+        self._rec_fire = ctx = engine._rec_now()
         for cb, args, add_ctx in callbacks:
             engine._rec_ctx = rec.join2(ctx, add_ctx)
             cb(self, *args)
@@ -371,10 +368,13 @@ class Engine:
             return pending
         if self._rec_suspend:
             return None
+        return rec.shift(self._rec_now(), delay)
+
+    def _rec_now(self):
+        """Recording: graph node of the current causal context (outside
+        any dispatch, the current instant as a constant)."""
         ctx = self._rec_ctx
-        if ctx is None:
-            ctx = rec.const(self.now)
-        return rec.shift(ctx, delay)
+        return ctx if ctx is not None else self.recorder.const(self.now)
 
     def call_at(self, when: float, fn: Callable[..., None], *args) -> Timer:
         """Schedule ``fn(*args)`` at absolute virtual time ``when``.

@@ -30,6 +30,7 @@ from repro.analysis.__main__ import main as cli_main
 from repro.analysis.findings import Finding
 from repro.analysis.schedule import (
     PlanVerificationError,
+    _clone_with_rounds,
     assert_plan_sound,
     build_plan_set,
     check_plans,
@@ -307,6 +308,34 @@ def test_structural_mutation_caught_by_both_layers(p, n):
         assert "deadlock" in str(exc)
     else:
         assert "RA104" in {f.check for f in world.verifier.errors()}
+
+
+@pytest.mark.parametrize("mutation", ["empty", "fill"])
+def test_round_emptying_and_filling_fixtures_seen_by_both_layers(mutation):
+    # Binomial bcast on 4 ranks: rank 2 idles in round 0 and receives from
+    # the root in round 1.  Emptying that round orphans the root's send;
+    # filling round 0 with a receive from rank 3 (which never sends to 2)
+    # wedges rank 2.  The executor skips empty rounds, so it must see the
+    # emptied round as idle and the filled one as posted, exactly as the
+    # static layer does.
+    n = 16
+    plans = build_plan_set("bcast_binomial", 4, 0, n)
+    assert [bool(ops) for ops in plans[2].rounds] == [False, True]
+    if mutation == "empty":
+        plans[2] = drop_op(plans[2], 1, 0)
+        assert not any(plans[2].rounds)
+    else:
+        rounds = [list(ops) for ops in plans[2].rounds]
+        rounds[0].append(("copy", 3, 0, n, n * 8, False))
+        plans[2] = _clone_with_rounds(plans[2], rounds)
+        assert all(plans[2].rounds)
+    assert "RA302" in {f.check for f in errors_of(verify_plan_set(plans))}
+    if mutation == "empty":
+        world = _drive_plans(plans, n)  # eager send drains unreceived
+        assert "RA104" in {f.check for f in world.verifier.errors()}
+    else:
+        with pytest.raises(SimulationError, match="deadlock"):
+            _drive_plans(plans, n)
 
 
 # -- CLI -----------------------------------------------------------------------

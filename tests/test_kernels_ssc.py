@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.kernels import run_ssc, ssc_flops
+from repro.kernels.symmsquarecube import check_symmetric
 from repro.tune.validity import min_block_elems
 
 from tests.conftest import symmetric
@@ -80,6 +81,26 @@ class TestValidation:
         d = rng.standard_normal((10, 10))
         with pytest.raises(ValueError, match="symmetric"):
             run_ssc(2, 10, "baseline", d)
+
+    def test_symmetry_check_exact_and_tolerant_branches(self, rng, monkeypatch):
+        d = symmetric(rng, 12)
+        calls = []
+        real_allclose = np.allclose
+
+        def counting_allclose(*args, **kwargs):
+            calls.append(1)
+            return real_allclose(*args, **kwargs)
+
+        monkeypatch.setattr(np, "allclose", counting_allclose)
+        check_symmetric(d)  # exactly symmetric: the tolerance test is skipped
+        assert calls == []
+        nearly = d.copy()
+        nearly[0, 1] += 1e-12  # symmetric within tolerance, not exactly
+        check_symmetric(nearly)
+        assert calls == [1]
+        nearly[0, 1] = np.nan  # a NaN compares unequal on both branches
+        with pytest.raises(ValueError, match="symmetric"):
+            check_symmetric(nearly)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

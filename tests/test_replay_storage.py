@@ -20,13 +20,15 @@ what that layout promises:
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels import run_ssc
+from repro.dense import run_summa
+from repro.kernels import run_ssc, run_ssc25d
 from repro.netmodel.params import NetworkParams
 from repro.netmodel.topology import Cluster
 from repro.sim.engine import DeadlineExceeded
@@ -429,6 +431,35 @@ class TestSchema:
         # ... and a save over it starts from nothing instead of merging it.
         store.save("wl", {"other": recording})
         assert set(store.load("wl")) == {"other"}
+
+
+#: sha256 of ``dump_recording`` per kernel run.  Each mixes eager and
+#: rendezvous messages, collective-internal and user-level point-to-point
+#: traffic.  The recorded graph is a pure function of what the simulator
+#: does: a host-side change to the per-message path (callback vs request
+#: completion, skipped empty rounds) must leave it node-for-node the same.
+_DUMP_PINS = {
+    "ssc-p3-nd4": (
+        lambda: run_ssc(3, 1536, "optimized", n_dup=4, record=True),
+        "4a993c568faebfe4d98cfa135e6e2390e5af61c87f5c18ae44b42e44da1db831"),
+    "ssc25d-2x2x2": (
+        lambda: run_ssc25d(2, 2, 512, n_dup=2, record=True),
+        "0b19f93648f8f1c3840a6761c23ea7080785c08a5d379ad3a178bfe33801e31a"),
+    "summa-4x4-colored2": (
+        lambda: run_summa(4, 640, algorithm="colored", colors=2, depth=2,
+                          record=True),
+        "f67135e21412bc07642fab1e3773839fcb38a92cac258f2730b7047bc54d6b89"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DUMP_PINS))
+def test_recording_dump_is_pinned(name, tmp_path):
+    run, expected = _DUMP_PINS[name]
+    rec = run().recording
+    assert rec.valid, rec.invalid_reason
+    path = tmp_path / "graph.json"
+    dump_recording(rec, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 # -- deadline verdicts --------------------------------------------------------
