@@ -137,6 +137,11 @@ def _solve_normal_equations(J: list[list[float]], r: list[float]) -> list[float]
     return dx
 
 
+#: Gauss-Newton starts :func:`fit_fabric_constants` tries: the grid
+#: incumbent, then off-plateau restarts.
+MAX_FIT_STARTS = 3
+
+
 def fit_fabric_constants(
     observations: list[CalibrationObservation],
     fields: tuple[str, ...] = ("alpha", "nic_bandwidth"),
@@ -157,7 +162,10 @@ def fit_fabric_constants(
     least-squares incumbent.  Stage 2 polishes with Gauss-Newton in log
     space (finite-difference Jacobians, each column one replay per
     observation) until the largest relative residual drops below
-    ``tolerance`` or ``max_iterations`` is exhausted.  All predictions go
+    ``tolerance`` or ``max_iterations`` is exhausted.  A start that
+    stalls with an all-zero Jacobian column (a constant that stopped
+    binding) restarts from the best grid cell off that plateau, up to
+    :data:`MAX_FIT_STARTS` starts in all.  All predictions go
     through :func:`~repro.sim.replay.replay_kernel_grid`; the fit never
     launches a simulation.
 
@@ -226,37 +234,76 @@ def fit_fabric_constants(
     result.grid_best = dict(points[best])
 
     # -- stage 2: Gauss-Newton polish in log space -----------------------
-    x = [math.log(points[best][f]) for f in fields]
-    final_res = residuals_at([preds[oi][best] for oi in range(len(observations))])
-    for it in range(max_iterations):
-        result.iterations = it
-        if max(abs(v) for v in final_res) < tolerance:
-            result.converged = True
-            break
-        cur = {f: math.exp(x[j]) for j, f in enumerate(fields)}
-        probe = [cur] + [
-            dict(cur, **{f: math.exp(x[j] + fd_step)})
-            for j, f in enumerate(fields)
-        ]
-        pr = predict(probe)
-        r = residuals_at([pr[oi][0] for oi in range(len(observations))])
-        jac = [
-            [
-                (pr[oi][1 + j] - pr[oi][0]) / observations[oi].measured / fd_step
-                for j in range(len(fields))
+    def polish(cell: int):
+        """Gauss-Newton from grid cell ``cell``: ``(x, res, its, jac)``."""
+        x = [math.log(points[cell][f]) for f in fields]
+        res = residuals_at([preds[oi][cell] for oi in range(len(observations))])
+        jac = None
+        for it in range(max_iterations):
+            if max(abs(v) for v in res) < tolerance:
+                return x, res, it, jac
+            cur = {f: math.exp(x[j]) for j, f in enumerate(fields)}
+            probe = [cur] + [
+                dict(cur, **{f: math.exp(x[j] + fd_step)})
+                for j, f in enumerate(fields)
             ]
-            for oi in range(len(observations))
-        ]
-        dx = _solve_normal_equations(jac, r)
-        # Trust region: one grid cell per step keeps the iterate inside
-        # the basin the dense sweep certified.
-        cap = 2.0 * span / (grid_points - 1)
-        x = [x[j] + max(-cap, min(cap, dx[j])) for j in range(len(fields))]
-        check = predict([{f: math.exp(x[j]) for j, f in enumerate(fields)}])
-        final_res = residuals_at([check[oi][0] for oi in range(len(observations))])
-    else:
-        result.iterations = max_iterations
-        result.converged = max(abs(v) for v in final_res) < tolerance
+            pr = predict(probe)
+            r = residuals_at([pr[oi][0] for oi in range(len(observations))])
+            jac = [
+                [
+                    (pr[oi][1 + j] - pr[oi][0]) / observations[oi].measured / fd_step
+                    for j in range(len(fields))
+                ]
+                for oi in range(len(observations))
+            ]
+            dx = _solve_normal_equations(jac, r)
+            # Trust region: one grid cell per step keeps the iterate inside
+            # the basin the dense sweep certified.
+            cap = 2.0 * span / (grid_points - 1)
+            x = [x[j] + max(-cap, min(cap, dx[j])) for j in range(len(fields))]
+            check = predict([{f: math.exp(x[j]) for j, f in enumerate(fields)}])
+            res = residuals_at([check[oi][0] for oi in range(len(observations))])
+        return x, res, max_iterations, jac
+
+    def off_plateau(cell: int, j: int) -> int | None:
+        """Best grid cell off the plateau ``cell`` sits on along field ``j``.
+
+        The plateau is the run of cells on ``cell``'s grid line along
+        ``fields[j]`` whose predictions all equal ``cell``'s: another
+        resource binds there, so the field moves nothing.
+        """
+        stride = grid_points ** (len(fields) - 1 - j)
+        at = (cell // stride) % grid_points
+        line = [cell + (i - at) * stride for i in range(grid_points)]
+        flat = [all(col[pi] == col[cell] for col in preds) for pi in line]
+        lo = hi = at
+        while lo > 0 and flat[lo - 1]:
+            lo -= 1
+        while hi < grid_points - 1 and flat[hi + 1]:
+            hi += 1
+        off = [pi for pi in range(len(points))
+               if not lo <= (pi // stride) % grid_points <= hi]
+        return min(off, key=lambda pi: costs[pi], default=None)
+
+    # A start whose last Jacobian has an all-zero column sits where that
+    # constant stopped binding; Gauss-Newton can only slide the others
+    # along the plateau.  Restart from the best cell off the plateau.
+    starts = [best]
+    attempts = []  # (max |residual|, x, residuals) per start
+    while True:
+        x, final_res, its, jac = polish(starts[-1])
+        attempts.append((max(abs(v) for v in final_res), x, final_res))
+        result.iterations += its
+        if attempts[-1][0] < tolerance or len(starts) == MAX_FIT_STARTS:
+            break
+        dead = [j for j in range(len(fields))
+                if jac is not None and all(row[j] == 0.0 for row in jac)]
+        cell = off_plateau(starts[-1], dead[0]) if dead else None
+        if cell is None or cell in starts:
+            break
+        starts.append(cell)
+    err, x, final_res = min(attempts, key=lambda a: a[0])
+    result.converged = err < tolerance
 
     result.fitted = {f: math.exp(x[j]) for j, f in enumerate(fields)}
     result.residuals = dict(zip(labels, final_res))

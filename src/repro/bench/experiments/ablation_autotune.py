@@ -9,9 +9,9 @@ the paper-default configuration of the same workload.
 By construction (the default seeds the search incumbent and is always
 simulated) the tuned time can never be worse than the default; the
 interesting output is *how much* headroom the hand-picked defaults leave at
-each scale, and which knob the tuner moved.  The CI ``tune`` job runs this
-with ``--quick``, asserts the no-regression property via :func:`check`, and
-uploads the tuning database assembled by :func:`export_db` as an artifact.
+each scale, and which knob the tuner moved.  ``benchmarks/gates`` runs this
+with ``--quick --check`` (the no-regression property) serially and with
+``--jobs 2``, and requires byte-identical output.
 """
 
 from __future__ import annotations
@@ -103,20 +103,6 @@ def assemble(results: list[dict], quick: bool = False) -> ExperimentOutput:
 
 def run(quick: bool = False) -> ExperimentOutput:
     return assemble([run_point(pt, quick=quick) for pt in grid(quick)], quick=quick)
-
-
-def export_db(output: ExperimentOutput, path) -> None:
-    """Rebuild a :class:`~repro.tune.db.TuningDB` from the sweep and save it.
-
-    The CI ``tune`` job uploads the result as an artifact so a workflow run
-    doubles as a warm-start database for local use.
-    """
-    from repro.tune.db import TuningDB, TuningRecord
-
-    db = TuningDB(path=path)
-    for rec in output.values.values():
-        db.insert(TuningRecord.from_dict(rec))
-    db.save()
 
 
 def check(output: ExperimentOutput) -> None:

@@ -105,18 +105,14 @@ def _spin(predicate, what: str, timeout: float = 60.0) -> None:
         time.sleep(0.0005)
 
 
-def run_coalescing_stampede(threads_n: int, sigs_n: int,
-                            warm_n: int = 0) -> dict:
+def run_coalescing_stampede(threads_n: int, sigs_n: int) -> dict:
     """Gate-orchestrated stampede over ``sigs_n`` signatures, fully pinned.
 
     ``threads_n`` concurrent ``tune()`` threads are launched one at a time
     behind a closed search gate, each polled until *registered* (leader in
     flight or follower coalesced), then the gate opens and the whole batch
-    resolves.  An optional ``warm_n`` lookups-only wave follows on the
-    tuned service (its wall time is the only nondeterministic output —
-    ``warm_lookups_per_sec`` is informative, everything else is exact).
-    Shared with ``perf_sim_core``'s ``tune_service`` section so the bench
-    baseline and this ablation pin the same machinery.
+    resolves.  ``tests/test_tune_service.py`` pins its counters at 64
+    threads over 4 signatures.
     """
     from repro.tune.db import TuningDB
     from repro.tune.service import TuningService, tune_serial
@@ -158,14 +154,6 @@ def run_coalescing_stampede(threads_n: int, sigs_n: int,
         svc.drain()
         cold = svc.stats()
         service_bytes = svc.db.to_json()
-        warm_wall = 0.0
-        if warm_n:
-            warm_plan = [sigs[i % sigs_n] for i in range(warm_n)]
-            t0 = time.perf_counter()
-            for sig in warm_plan:
-                svc.tune(sig)
-            warm_wall = time.perf_counter() - t0
-        warm = svc.stats()
     finally:
         svc.close()
 
@@ -185,21 +173,12 @@ def run_coalescing_stampede(threads_n: int, sigs_n: int,
         "simulations": cold["simulations"],
         "records": cold["records"],
         "byte_identical": service_bytes == twin.to_json(),
-        "warm_requests": warm_n,
-        "warm_hits": warm["hits"] - cold["hits"],
-        "warm_searches": warm["searches"] - cold["searches"],
-        "warm_simulations": warm["simulations"] - cold["simulations"],
-        "warm_lookups_per_sec": (warm_n / warm_wall) if warm_n else 0.0,
     }
 
 
 def _run_stampede(quick: bool) -> dict:
-    threads_n, sigs_n = STAMPEDE_QUICK if quick else STAMPEDE_FULL
-    result = run_coalescing_stampede(threads_n, sigs_n)
-    for key in ("warm_requests", "warm_hits", "warm_searches",
-                "warm_simulations", "warm_lookups_per_sec"):
-        del result[key]
-    return result
+    return run_coalescing_stampede(*(STAMPEDE_QUICK if quick
+                                     else STAMPEDE_FULL))
 
 
 def _run_warm(quick: bool) -> dict:

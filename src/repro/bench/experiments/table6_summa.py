@@ -30,7 +30,7 @@ from repro.util import Table
 #: Problem size: (n/p)^2 * 8B panels keep every mesh bandwidth-bound.
 N = 2048
 #: The committed speedup gate for colored-4 vs plain on the p=4 mesh
-#: (mirrored by the ``summa`` section of ``perf_sim_core``).
+#: (its virtual times are pinned in ``tests/test_summa_family.py``).
 SPEEDUP_TARGET = 1.5
 
 #: label -> (algorithm, colors, depth)

@@ -97,10 +97,6 @@ EXPERIMENTS: dict[str, tuple[str, str]] = {
         "ablation_tune_service",
         "tuning service under load: coalescing, warm cache, interpolation",
     ),
-    "perf_sim_core": (
-        "perf_sim_core",
-        "simulator-core microbenchmark vs the committed perf baseline",
-    ),
 }
 
 

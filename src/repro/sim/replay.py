@@ -76,8 +76,8 @@ long arrays.
 ``join2`` is one dict probe on a packed-int key; a wide join is a chain of
 binary nodes.
 
-See ``docs/perf.md`` for the benchmark (``perf_sim_core`` section
-``replay``) and ``docs/tuning.md`` for the tuner integration.
+See ``docs/perf.md`` for what replay costs and ``docs/tuning.md`` for the
+tuner integration.
 """
 
 from __future__ import annotations

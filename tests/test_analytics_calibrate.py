@@ -95,6 +95,30 @@ class TestSyntheticRecovery:
         for f in ("alpha", "nic_bandwidth"):
             assert abs(fit.fitted[f] / getattr(truth, f) - 1.0) <= 0.05
 
+    def test_restarts_off_a_plateau(self):
+        """At nic_bandwidth x0.79 the grid's best cell sits where another
+        limit binds and the predictions are flat in nic_bandwidth: the
+        Jacobian column is exactly zero and Gauss-Newton alone walks alpha
+        ~50x off.  The restart from the off-plateau side recovers both."""
+        from repro.kernels.symmsquarecube import run_ssc
+
+        base = NetworkParams()
+        truth = base.replace(alpha=base.alpha * 1.7915761064069748,
+                             nic_bandwidth=base.nic_bandwidth
+                             * 0.7907829360229865)
+        observations = []
+        for p in (2, 3):
+            rec = run_ssc(p, 5330, "optimized", n_dup=1,
+                          record=True).recording
+            measured = run_ssc(p, 5330, "optimized", n_dup=1,
+                               params=truth).elapsed
+            observations.append(CalibrationObservation(rec, measured))
+        fit = fit_fabric_constants(observations, ("alpha", "nic_bandwidth"),
+                                   base=base, tolerance=1e-9)
+        assert fit.converged
+        for f in ("alpha", "nic_bandwidth"):
+            assert abs(fit.fitted[f] / getattr(truth, f) - 1.0) <= 1e-6
+
     def test_result_is_jsonable(self):
         import json
 

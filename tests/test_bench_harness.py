@@ -9,6 +9,9 @@ from repro.bench.harness import (
     load_experiment,
     run_experiment,
 )
+from repro.netmodel.fabric import Fabric
+from repro.netmodel.topology import block_placement
+from repro.sim.engine import Engine
 from repro.util import Table
 
 
@@ -112,31 +115,65 @@ class TestExtensionExperiments:
             assert key in EXPERIMENTS
 
 
+def _run_storm(nodes, ppn, wave, waves, nbytes, stagger):
+    """Drive one flow storm straight into ``Fabric``; the drained engine.
+
+    ``waves`` rounds of ``wave`` concurrent transfers of ``nbytes`` each,
+    every round posted when the previous round's last flow lands, from
+    ``stagger`` posting fronts 10 us apart (the N_DUP pipeline's
+    overlapping communicators).  No MPI layer: this is the engine + fabric
+    core alone.
+    """
+    eng = Engine()
+    fab = Fabric(eng, block_placement(nodes * ppn, ppn))
+    ranks = nodes * ppn
+    left = [waves]
+
+    def post_wave():
+        w = waves - left[0]
+        left[0] -= 1
+        last = None
+        for i in range(wave):
+            src = (i + w) % ranks
+            last = fab.transfer(src, (src + 1 + i % 7) % ranks, nbytes)
+        if left[0] > 0:
+            last.add_callback(lambda _e: post_wave())
+
+    for s in range(stagger):
+        eng.call_after(s * 1e-5, post_wave)
+    eng.run()
+    return eng
+
+
+#: Flow storms shaped like the repo's regimes, with their engine counters
+#: ``(events, cancelled, peak heap, compactions)``: Table I (64 nodes,
+#: multi-MB rendezvous broadcasts), Table II/III (PPN=4 with shm traffic)
+#: and the latency-bound CG solver (small waves).
+STORMS = {
+    "table1": ((64, 1, 256, 12, 3_822_500, 4), (9499, 12959, 1686, 16)),
+    "table2": ((32, 4, 256, 12, 1_000_000, 4), (8025, 11206, 1998, 14)),
+    "ext_cg": ((64, 4, 64, 40, 20_000, 2), (4876, 4379, 625, 14)),
+}
+
+
 class TestPerfSimCore:
-    """Non-timing properties of the perf microbenchmark (the timing gate
-    itself runs in the CI perf job, not in unit tests)."""
+    """The simulator core's event structure plus the bench CLI's cost
+    reporting (wall-clock cost itself is measured by ``benchmarks/perf``)."""
 
     def test_storms_are_deterministic(self):
-        from repro.bench.experiments.perf_sim_core import run_storm
-
-        runs = [run_storm(8, 2, 16, 3, 100_000, 2) for _ in range(2)]
+        runs = [_run_storm(8, 2, 16, 3, 100_000, 2) for _ in range(2)]
         assert runs[0].events_processed == runs[1].events_processed
         assert runs[0].events_cancelled == runs[1].events_cancelled
         assert runs[0].peak_heap_size == runs[1].peak_heap_size
         assert runs[0].now == runs[1].now
         assert runs[0].events_processed > 0
 
-    def test_committed_baseline_schema(self):
-        from repro.bench.experiments.perf_sim_core import WORKLOADS, load_baseline
-
-        baseline = load_baseline()
-        assert baseline is not None, "BENCH_sim_core.json missing from repo"
-        assert baseline["ref_eps"] > 0
-        for mode in ("quick", "full"):
-            for side in ("pre", "post"):
-                for name in WORKLOADS:
-                    m = baseline[mode][side][name]
-                    assert m["wall"] > 0 and m["events"] > 0
+    @pytest.mark.parametrize("name", sorted(STORMS))
+    def test_storm_counters_pinned(self, name):
+        shape, counters = STORMS[name]
+        eng = _run_storm(*shape)
+        assert (eng.events_processed, eng.events_cancelled,
+                eng.peak_heap_size, eng.compactions) == counters
 
     def test_profile_flag(self, capsys):
         rc = main(["secva", "--quick", "--profile"])

@@ -200,6 +200,22 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(maxsize=0)
 
+    def test_sweep_counters_pinned(self):
+        # Four passes over every (algorithm, p, size, rank) key: the first
+        # pass misses each of the 6 * (4 + 16 + 64) * 2 = 1008 keys once,
+        # the other three hit, and the default bound evicts nothing.
+        cache = PlanCache()
+        for _ in range(4):
+            for alg in ("bcast_binomial", "bcast_long", "reduce_rabenseifner",
+                        "allreduce_long", "allgather_ring", "barrier"):
+                for p in (4, 16, 64):
+                    for n in (1_000, 1_000_000):
+                        for me in range(p):
+                            cache.get(alg, p, me, 0, n, 8)
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"],
+                stats["entries"]) == (3024, 1008, 0, 1008)
+
     def test_cached_plans_stay_valid_schedules(self):
         cache = PlanCache()
         for p in (1, 2, 5, 8, 13):

@@ -32,9 +32,11 @@ from repro.sim.replay import (
     replay_kernel,
 )
 
-from repro.tune.candidates import effective_params, enumerate_candidates
-from repro.tune.search import simulate_candidate
-from repro.tune.signature import signature_for_summa
+from repro.tune.candidates import (apply_collective, effective_params,
+                                   enumerate_candidates,
+                                   paper_default_candidate)
+from repro.tune.search import search, simulate_candidate
+from repro.tune.signature import signature_for_ssc, signature_for_summa
 
 from tests.conftest import make_world, run_storm_world, storm_messages
 
@@ -289,6 +291,74 @@ def _verdict(fn):
     if isinstance(out, tuple):
         return out
     return out.elapsed, out.world.engine.now
+
+
+#: The quick Table I tuning shortlist (p=2 mesh, n=64) re-scored under
+#: each setting: ``(kernel, world)`` times as ``float.hex`` of the three
+#: distinct scores; the five entries score ``a, a, b, b, c`` in cache-key
+#: order.
+SHORTLIST_SWEEP = (
+    (("alpha", 1.25),
+     (("0x1.1f755003b1d8bp-13", "0x1.2935c325e8646p-13"),
+      ("0x1.9cec9cc8aeb9fp-14", "0x1.aa3dbe237254ep-14"),
+      ("0x1.9f64377c9f806p-13", "0x1.ac3c8d13aaca4p-13"))),
+    (("alpha", 1.5),
+     (("0x1.229a9e71d3f53p-13", "0x1.2dedb8cb1b8f2p-13"),
+      ("0x1.a011eb36d0d66p-14", "0x1.aef5b3c8a57fap-14"),
+      ("0x1.a41c2d21d2ab2p-13", "0x1.b3507d8b778a6p-13"))),
+    (("alpha", 0.75),
+     (("0x1.192ab3276d9f9p-13", "0x1.1fc5d7db820ebp-13"),
+      ("0x1.96a1ffec6a80cp-14", "0x1.a0cdd2d90bff3p-14"),
+      ("0x1.95f44c32392a9p-13", "0x1.9e14ac241149ap-13"))),
+    (("nic_bandwidth", 0.5),
+     (("0x1.d94a848f3af48p-13", "0x1.e178507a6071fp-13"),
+      ("0x1.2b60e8aa1beaep-13", "0x1.314025bbf5313p-13"),
+      ("0x1.57d960eb6f4cdp-12", "0x1.5d178e4da8271p-12"))),
+    (("nic_bandwidth", 0.8),
+     (("0x1.4b8ea253fa8a4p-13", "0x1.53bc6e3f2007bp-13"),
+      ("0x1.c905ef18f76b7p-14", "0x1.d4c4693ca9f82p-14"),
+      ("0x1.dfede1d748e6ap-13", "0x1.ea6a3c9bba9b1p-13"))),
+    (("shm_bandwidth", 0.5),
+     (("0x1.1c5001958fbc2p-13", "0x1.247dcd80b5398p-13"),
+      ("0x1.99c74e5a8c9d4p-14", "0x1.a585c87e3f29fp-14"),
+      ("0x1.9aac41d76c558p-13", "0x1.a5289c9bde0a0p-13"))),
+)
+
+
+class TestShortlistRescoring:
+    """The tuner's shortlist-scoring stage: replay re-prices the recorded
+    shortlist bit for bit, and a warm re-search never simulates."""
+
+    def test_replayed_scores_equal_simulation_and_are_pinned(self):
+        sig = signature_for_ssc(2, 64, ppn=1, params=BASE)
+        assert sig.key.rsplit(":", 1)[0] == "ssc:n64:r8:m2x2x2:ppn1:block"
+        cands = enumerate_candidates(sig)
+        default = paper_default_candidate(sig)
+        by_key = {c.key: c for c in cands + [default]}
+        cache: dict = {}
+        first = search(sig, cands, default, params=BASE, replay="auto",
+                       graph_cache=cache)
+        shortlist = [(by_key[ck], rec)
+                     for (_wl, ck), rec in sorted(cache.items())]
+        assert first.simulations == len(shortlist) == 5
+        assert sum(len(rec.kinds) for _c, rec in shortlist) == 1702
+        assert sum(len(rec.flows) for _c, rec in shortlist) == 320
+
+        warm = search(sig, cands, default, params=perturb("alpha", 1.25),
+                      replay="auto", graph_cache=cache)
+        assert (warm.simulations, warm.replays) == (0, 5)
+
+        for (field, scale), (a, b, c) in SHORTLIST_SWEEP:
+            params = perturb(field, scale)
+            replayed = [
+                replay_kernel(rec, params=apply_collective(
+                    params, cand.collective))
+                for cand, rec in shortlist
+            ]
+            assert replayed == [simulate_candidate(sig, cand, params)
+                                for cand, _rec in shortlist], (field, scale)
+            assert [tuple(map(float.hex, pair)) for pair in replayed] == [
+                a, a, b, b, c], (field, scale)
 
 
 class TestExactOrRefused:

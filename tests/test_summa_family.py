@@ -161,9 +161,15 @@ class TestTuneAxes:
 
 class TestHeadlineSpeedup:
     def test_colored4_beats_plain_by_committed_margin(self):
+        # Virtual times on the bandwidth-bound p=4, n=2048 mesh, bit for bit.
         plain = run_summa(4, 2048, algorithm="plain").elapsed
+        streaming = run_summa(4, 2048, algorithm="streaming",
+                              depth=4).elapsed
         colored = run_summa(4, 2048, algorithm="colored", colors=4,
                             depth=4).elapsed
+        assert float.hex(plain) == "0x1.b9bd5f011fe33p-8"
+        assert float.hex(streaming) == "0x1.56936ad49c448p-9"
+        assert float.hex(colored) == "0x1.bc95da5939acap-9"
         assert plain / colored >= 1.5
 
     def test_colored_splits_traffic_across_lanes(self):

@@ -187,6 +187,19 @@ class TestServiceCoalescing:
         # Byte-identity against the serial twin over the first-miss order.
         assert service_json == tune_serial(sigs, seed=SEED).to_json()
 
+    def test_stampede_counters_pinned(self):
+        # The ablation-tune-service stampede at 64 threads over 4
+        # signatures, every counter exact.
+        from repro.bench.experiments.ablation_tune_service import (
+            run_coalescing_stampede,
+        )
+
+        assert run_coalescing_stampede(64, 4) == {
+            "threads": 64, "signatures": 4, "requests": 64, "searches": 4,
+            "coalesced": 60, "hits": 0, "simulations": 20, "records": 4,
+            "byte_identical": True,
+        }
+
     def test_warm_requests_hit_without_simulating(self):
         sig = signature_for_ssc(2, 48)
         svc = TuningService(TuningDB(), seed=SEED)
