@@ -33,7 +33,6 @@ from repro.mpi.collectives.algorithms import (
     allreduce_long,
     allreduce_ring,
     allgather_ring,
-    allgather_recursive_doubling,
     barrier_dissemination,
     schedule_volume_bytes,
     validate_schedules,
@@ -62,7 +61,6 @@ __all__ = [
     "allreduce_long",
     "allreduce_ring",
     "allgather_ring",
-    "allgather_recursive_doubling",
     "barrier_dissemination",
     "schedule_volume_bytes",
     "validate_schedules",

@@ -130,51 +130,6 @@ def allgather_ring(p: int, me: int, n: int, root: int = 0) -> Schedule:
     return rounds
 
 
-def allgather_recursive_doubling(p: int, me: int, n: int, root: int = 0) -> Schedule:
-    """Recursive-doubling allgather (power-of-two ``p`` only).
-
-    ``log2 p`` rounds with doubling exchange sizes; same total volume as the
-    ring (``(p-1) n / p`` per process) but far fewer rounds — the
-    low-latency alternative MPICH uses for short/medium messages.  Segment
-    ``j`` starts on root-relative rank ``j``.
-    """
-    _check(p, me, n, root)
-    if p & (p - 1) != 0:
-        raise ValueError(f"recursive doubling requires power-of-two p, got {p}")
-    rel = (me - root) % p
-    rounds: Schedule = []
-    own_lo, own_hi = rel, rel + 1  # segment units, [lo, hi)
-    d = 1
-    while d < p:
-        partner = rel ^ d
-        # My current block is [own_lo, own_hi); partner's is the mirrored
-        # block of the same size within our shared 2d-aligned group.
-        group_lo = (rel // (2 * d)) * (2 * d)
-        if rel & d:
-            peer_lo, peer_hi = group_lo, group_lo + d
-        else:
-            peer_lo, peer_hi = group_lo + d, group_lo + 2 * d
-        rounds.append(
-            [
-                (
-                    "send",
-                    (partner + root) % p,
-                    _seg_start(own_lo, n, p),
-                    _seg_start(own_hi, n, p),
-                ),
-                (
-                    "copy",
-                    (partner + root) % p,
-                    _seg_start(peer_lo, n, p),
-                    _seg_start(peer_hi, n, p),
-                ),
-            ]
-        )
-        own_lo, own_hi = group_lo, group_lo + 2 * d
-        d *= 2
-    return rounds
-
-
 def bcast_long(p: int, root: int, me: int, n: int) -> Schedule:
     """Long-message broadcast: binomial scatter + ring allgather.
 

@@ -221,9 +221,6 @@ class RankEnv:
         if rec is not None:
             rec.mark((label, self.rank, idx), self.world.engine._rec_now())
 
-    def in_comm(self, comm: Comm) -> bool:
-        return comm.contains(self.rank)
-
     def compute(self, seconds: float, label: str = "compute"):
         """Generator: occupy this rank's CPU for ``seconds`` (traced).
 

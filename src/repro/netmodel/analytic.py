@@ -125,22 +125,6 @@ def baseline_ssc_comm_time_model(
 # overlap, see ``overlapped_time``).
 
 
-def t_bcast_binomial(nbytes: float, p: int, alpha: float, beta: float) -> float:
-    """Short-message binomial broadcast: ``ceil(log2 p) * (alpha + n*beta)``."""
-    check_positive("p", p)
-    if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
-    if p == 1:
-        return 0.0
-    rounds = math.ceil(math.log2(p))
-    return rounds * (alpha + nbytes * beta)
-
-
-def t_reduce_binomial(nbytes: float, p: int, alpha: float, beta: float) -> float:
-    """Short-message binomial reduction (same shape as the broadcast)."""
-    return t_bcast_binomial(nbytes, p, alpha, beta)
-
-
 def overlapped_time(latency: float, bandwidth: float, n_dup: int,
                     pipeline_fraction: float) -> float:
     """Time of a phase split into ``n_dup`` pipelined parts.

@@ -52,10 +52,6 @@ class SCFResult:
     d: np.ndarray | None = None
     world: World | None = None
 
-    @property
-    def avg_purify_time(self) -> float:
-        return sum(self.purify_times) / len(self.purify_times)
-
 
 def run_scf(
     mesh_p: int,

@@ -20,10 +20,8 @@ automates that choice per workload:
 * :mod:`~repro.tune.graphstore` — persisted recorded event graphs, so a
   fresh process replays shortlist scoring instead of re-simulating;
 * :mod:`~repro.tune.service` — tuning as a shared resource: the concurrent
-  :class:`TuningService` (record cache, request coalescing, interpolated
-  warm starts, stale-while-revalidate re-tuning), the unix-socket
-  :class:`TuningServer`/:class:`TuningClient` pair, and the file-locked
-  multiprocess mode (:class:`LockedTuningDB`).
+  in-process :class:`TuningService` (record cache, request coalescing,
+  interpolated warm starts, stale-while-revalidate re-tuning).
 
 This ``__init__`` imports only the kernel-free layers eagerly; the
 :class:`Tuner` and the search (which import the kernels) load lazily, so the
@@ -76,10 +74,6 @@ _LAZY = {
     "SearchOutcome": "repro.tune.search",
     "GraphStore": "repro.tune.graphstore",
     "TuningService": "repro.tune.service",
-    "TuningServer": "repro.tune.service",
-    "TuningClient": "repro.tune.service",
-    "LockedTuningDB": "repro.tune.service",
-    "run_server": "repro.tune.service",
     "tune_serial": "repro.tune.service",
     "find_neighbor": "repro.tune.service",
     "degraded_params": "repro.tune.service",

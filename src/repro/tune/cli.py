@@ -9,7 +9,6 @@ Examples::
     python -m repro.tune show --db tune_db.json --format json
     python -m repro.tune export --db tune_db.json --output /tmp/copy.json
     python -m repro.tune warm ssc --p 2 --n 512 --n 520 --db tune_db.json
-    python -m repro.tune serve --db tune_db.json --socket /tmp/tune.sock
 """
 
 from __future__ import annotations
@@ -150,23 +149,6 @@ def _cmd_warm(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.tune.service import TuningService, run_server
-
-    svc = TuningService(args.db, policy=args.policy, seed=args.seed,
-                        stale_while_revalidate=args.swr,
-                        mp_safe=args.mp_safe)
-    print(f"serving tuning db {args.db or '<ephemeral>'} on {args.socket}",
-          flush=True)
-    try:
-        run_server(svc, args.socket)
-    finally:
-        if args.db:
-            svc.save()
-        svc.close()
-    return 0
-
-
 def _cmd_show(args) -> int:
     from repro.tune.db import TuningDB
 
@@ -257,23 +239,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(>1 exercises coalescing; db generation "
                              "order then follows the racy arrival order)")
     p_warm.set_defaults(fn=_cmd_warm)
-
-    p_serve = sub.add_parser(
-        "serve", help="serve a tuning db to other processes (unix socket)")
-    p_serve.add_argument("--socket", required=True, metavar="PATH",
-                         help="unix socket path to listen on")
-    p_serve.add_argument("--db", default=None, metavar="FILE")
-    p_serve.add_argument("--policy", default="auto",
-                         choices=("auto", "model-only", "exhaustive",
-                                  "db-only"))
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--swr", action="store_true",
-                         help="serve stale records while re-tuning in the "
-                              "background (fault-plan fabric changes)")
-    p_serve.add_argument("--mp-safe", action="store_true", dest="mp_safe",
-                         help="share the db file with other writer "
-                              "processes through file locking")
-    p_serve.set_defaults(fn=_cmd_serve)
 
     p_show = sub.add_parser("show", help="inspect a tuning database")
     p_show.add_argument("--db", required=True, metavar="FILE")

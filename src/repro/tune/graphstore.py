@@ -1,8 +1,8 @@
 """Persistent event-graph storage: replay reuse across processes.
 
-PR 6's record/replay machinery made shortlist re-scoring ≥3x cheaper than
-full simulation — but only within one process, because the recorded graphs
-lived in an in-memory ``graph_cache``.  A :class:`GraphStore` persists each
+The record/replay machinery re-scores a shortlist without re-simulating —
+but only within one process, because the recorded graphs live in an
+in-memory ``graph_cache``.  A :class:`GraphStore` persists each
 scored candidate's graph (:func:`repro.sim.replay.dump_recording` format)
 next to the tuning database, keyed by the signature's **workload key** (the
 db key minus the fabric hash — reuse across fabric constants is the whole
@@ -117,21 +117,3 @@ class GraphStore:
             fh.write("\n")
         os.replace(tmp, path)
         return path
-
-    # -- maintenance --------------------------------------------------------
-
-    def workloads(self) -> list[str]:
-        """Workload keys with a file in the store (sorted)."""
-        if not self.root.is_dir():
-            return []
-        keys = []
-        for p in self.root.glob("*.json"):
-            try:
-                with open(p) as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                continue
-            wl = doc.get("workload")
-            if wl is not None:
-                keys.append(wl)
-        return sorted(keys)

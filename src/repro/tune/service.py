@@ -2,11 +2,9 @@
 
 ``repro.tune`` made configuration search automatic; this module makes it a
 **shared resource**.  A :class:`TuningService` sits in front of one
-:class:`~repro.tune.db.TuningDB` and serves concurrent ``tune()`` calls —
-from threads in one process (the in-process facade), from other processes
-over a unix socket (:class:`TuningServer` / :class:`TuningClient`), or from
-unrelated processes sharing only the db file (:class:`LockedTuningDB`).
-Four mechanisms turn one search into many answers:
+:class:`~repro.tune.db.TuningDB` and serves concurrent ``tune()`` calls
+from threads in one process.  Four mechanisms turn one search into many
+answers:
 
 **Record cache.**  Committed decisions live in a read-mostly dict in front
 of the db.  A warm ``tune()`` is a single lock-free dict probe — no service
@@ -28,8 +26,8 @@ the shortlist size instead of a fresh enumeration-and-prune pass.
 **Cross-process replay reuse.**  The service's tuner owns a
 :class:`~repro.tune.graphstore.GraphStore` persisted next to the db, so
 shortlist scoring in a *fresh process* loads the recorded event graphs and
-prices candidates through :func:`repro.sim.replay.replay` (≥3x a full
-simulation) instead of re-simulating.
+prices candidates through :func:`repro.sim.replay.replay` instead of
+re-simulating.
 
 Plus **online re-tuning**: when a :class:`~repro.sim.faults.FaultPlan`
 changes the effective fabric constants (:func:`degraded_params`), the new
@@ -60,14 +58,12 @@ Byte-determinism of the db is non-negotiable.  The service guarantees:
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.netmodel.params import MachineParams, NetworkParams
-from repro.tune.db import DEFAULT_MAX_RECORDS, TuningDB, TuningRecord
+from repro.tune.db import TuningDB, TuningRecord
 from repro.tune.graphstore import GraphStore
 from repro.tune.search import DEFAULT_MAX_CANDIDATES, DEFAULT_SHORTLIST
 from repro.tune.signature import WorkloadSignature
@@ -172,7 +168,6 @@ class TuningService(KernelEntryPoints):
                  interpolate: bool = True,
                  interpolation_tol: float = INTERPOLATION_REL_TOL,
                  stale_while_revalidate: bool = False,
-                 mp_safe: bool = False,
                  search_gate: threading.Event | None = None):
         if isinstance(db, (str, os.PathLike)):
             db = TuningDB(db)
@@ -189,11 +184,6 @@ class TuningService(KernelEntryPoints):
         self.interpolate = interpolate
         self.interpolation_tol = interpolation_tol
         self.stale_while_revalidate = stale_while_revalidate
-        if mp_safe and self.db.path is None:
-            raise ValueError("mp_safe=True needs a db path to lock")
-        self._locked_db = (LockedTuningDB(self.db.path,
-                                          max_records=self.db.max_records)
-                           if mp_safe else None)
         #: Test/bench hook: leaders block here after registering their miss
         #: and before searching, so an orchestrator can guarantee every
         #: stampede request is registered before the first search finishes
@@ -264,15 +254,6 @@ class TuningService(KernelEntryPoints):
                     self._stale_served += 1
                     return False, fl.future, (), -1, stale
                 return False, fl.future, (), -1, None
-            if self._locked_db is not None:
-                # Another process may have committed this signature since
-                # our last sync; a re-read here is the load half of the
-                # locked load-modify-store discipline.
-                self._sync_from_disk_locked()
-                rec = self._cache.get(key)
-                if rec is not None:
-                    self._hits.add()
-                    return False, _done_future(rec), (), -1, None
             order = self._next_order
             self._next_order += 1
             fut: Future = Future()
@@ -370,8 +351,6 @@ class TuningService(KernelEntryPoints):
             self.db.insert(r)
             for gone in before - set(self.db._records):
                 self._cache.pop(gone, None)
-        if batch and self._locked_db is not None:
-            self._locked_db.insert_many(batch)
 
     def _find_stale_locked(self, sig) -> TuningRecord | None:
         """Newest committed record of the same workload, any fabric hash."""
@@ -385,15 +364,6 @@ class TuningService(KernelEntryPoints):
             if best_rank is None or rank < best_rank:
                 best_rank, best = rank, rec
         return best
-
-    def _sync_from_disk_locked(self) -> None:
-        """mp-safe mode: absorb records other processes committed."""
-        merged = self._locked_db.refresh()
-        if merged is None:
-            return
-        for key, rec in merged.items():
-            if key not in self._cache:
-                self._cache[key] = rec
 
     # -- lifecycle / introspection -------------------------------------------
 
@@ -412,17 +382,8 @@ class TuningService(KernelEntryPoints):
                     pass
 
     def save(self, path=None):
-        """Drain, then persist the db (its bytes are the determinism gate).
-
-        In mp-safe mode records were already merged durably at commit time
-        (under the file lock); a plain overwrite here would clobber other
-        processes' merges, so the default save is a no-op returning the
-        shared path.  An explicit ``path`` still exports this process's
-        view.
-        """
+        """Drain, then persist the db (its bytes are the determinism gate)."""
         self.drain()
-        if self._locked_db is not None and path is None:
-            return self.db.path
         return self.db.save(path)
 
     def close(self) -> None:
@@ -491,249 +452,3 @@ def tune_serial(requests, db: TuningDB | None = None, *,
         else:
             tuner.tune(sig, params=params, machine=machine)
     return db
-
-
-class LockedTuningDB:
-    """``fcntl.flock``-serialized load-modify-store over one db file.
-
-    For unrelated processes sharing only the tuning-db path: every insert
-    batch runs under an exclusive lock on ``<path>.lock`` and re-reads the
-    file first, so concurrent writers merge instead of clobbering (the
-    classic lost-update race the contention tests exercise).  Lookup-side
-    freshness uses an mtime probe — readers re-load only when some writer
-    actually committed.
-    """
-
-    def __init__(self, path, max_records: int = DEFAULT_MAX_RECORDS):
-        try:
-            import fcntl  # noqa: F401 — availability probe (POSIX only)
-        except ImportError as exc:  # pragma: no cover - non-POSIX
-            raise RuntimeError(
-                "multiprocess-safe tuning needs fcntl (POSIX file locks)"
-            ) from exc
-        import pathlib
-        self.path = pathlib.Path(path)
-        self.lock_path = self.path.with_name(self.path.name + ".lock")
-        self.max_records = max_records
-        self._seen_mtime: float | None = None
-
-    def _locked(self):
-        import fcntl
-
-        class _Lock:
-            def __enter__(inner):
-                self.lock_path.parent.mkdir(parents=True, exist_ok=True)
-                inner.fh = open(self.lock_path, "w")
-                fcntl.flock(inner.fh, fcntl.LOCK_EX)
-                return inner.fh
-
-            def __exit__(inner, *exc):
-                import fcntl as f
-                f.flock(inner.fh, f.LOCK_UN)
-                inner.fh.close()
-                return False
-
-        return _Lock()
-
-    def _load(self) -> TuningDB:
-        db = TuningDB(max_records=self.max_records)
-        if self.path.is_file():
-            db._load(self.path)
-        return db
-
-    def insert_many(self, records) -> TuningDB:
-        """Atomically merge ``records`` into the on-disk db (re-stamped).
-
-        Generations are assigned by the on-disk db at merge time — the
-        cross-process insertion order is whatever the lock arbitration
-        says, but no record is ever lost and the bytes stay canonical.
-        """
-        with self._locked():
-            db = self._load()
-            for rec in records:
-                db.insert(_copy_record(rec))
-            tmp = self.path.with_name(self.path.name + f".tmp.{os.getpid()}")
-            tmp.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(db.to_json())
-            os.replace(tmp, self.path)
-            self._seen_mtime = self.path.stat().st_mtime
-        return db
-
-    def refresh(self) -> dict[str, TuningRecord] | None:
-        """Re-read the file if its mtime moved; ``None`` when unchanged."""
-        try:
-            mtime = self.path.stat().st_mtime
-        except OSError:
-            return None
-        if mtime == self._seen_mtime:
-            return None
-        self._seen_mtime = mtime
-        return dict(self._load()._records)
-
-
-def _copy_record(rec: TuningRecord) -> TuningRecord:
-    """A deep, independent copy (insert_many must not mutate the caller's
-    generation stamps)."""
-    return TuningRecord.from_dict(json.loads(json.dumps(rec.as_dict())))
-
-
-# -- the wire protocol (unix socket, newline-delimited JSON) ------------------
-
-
-def _encode(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True,
-                      separators=(",", ":")).encode() + b"\n"
-
-
-def _params_from(doc) -> NetworkParams | None:
-    return None if doc is None else NetworkParams(**doc)
-
-
-def _machine_from(doc) -> MachineParams | None:
-    return None if doc is None else MachineParams(**doc)
-
-
-class TuningServer:
-    """Asyncio unix-socket front-end for a :class:`TuningService`.
-
-    One JSON object per line in, one per line out.  Ops: ``ping``,
-    ``stats``, ``save``, ``shutdown`` and ``tune`` (signature plus optional
-    network/machine constants).  ``tune`` work runs in the default thread
-    pool, so requests from many connections coalesce in the service exactly
-    like in-process threads do.
-    """
-
-    def __init__(self, service: TuningService, socket_path) -> None:
-        self.service = service
-        self.socket_path = str(socket_path)
-        self._stop = None  # asyncio.Event, created inside serve()
-
-    async def serve(self) -> None:
-        import asyncio
-
-        self._stop = asyncio.Event()
-        server = await asyncio.start_unix_server(self._handle,
-                                                 path=self.socket_path)
-        async with server:
-            await self._stop.wait()
-        try:
-            os.unlink(self.socket_path)
-        except OSError:
-            pass
-
-    async def _handle(self, reader, writer) -> None:
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        req = None
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                req = None
-                try:
-                    req = json.loads(line)
-                    resp = await self._dispatch(loop, req)
-                except Exception as exc:  # malformed request, search error
-                    resp = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                writer.write(_encode(resp))
-                await writer.drain()
-                if isinstance(req, dict) and req.get("op") == "shutdown":
-                    break
-        finally:
-            writer.close()
-
-    async def _dispatch(self, loop, req: dict) -> dict:
-        op = req.get("op")
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        if op == "stats":
-            return {"ok": True, "stats": self.service.stats()}
-        if op == "save":
-            path = await loop.run_in_executor(None, self.service.save)
-            return {"ok": True, "path": str(path)}
-        if op == "shutdown":
-            self._stop.set()
-            return {"ok": True, "bye": True}
-        if op == "tune":
-            sig = WorkloadSignature.from_dict(req["signature"])
-            params = _params_from(req.get("params"))
-            machine = _machine_from(req.get("machine"))
-            rec = await loop.run_in_executor(
-                None, lambda: self.service.tune(sig, params=params,
-                                                machine=machine))
-            return {"ok": True, "record": rec.as_dict()}
-        return {"ok": False, "error": f"unknown op {op!r}"}
-
-
-def run_server(service: TuningService, socket_path) -> None:
-    """Blocking convenience wrapper: serve until a ``shutdown`` op."""
-    import asyncio
-
-    asyncio.run(TuningServer(service, socket_path).serve())
-
-
-class TuningClient:
-    """Synchronous line-protocol client for a :class:`TuningServer`.
-
-    Drop-in for the in-process facade: ``client.tune(sig)`` returns a
-    :class:`TuningRecord`.  One socket per client; thread-unsafe by design
-    (use one client per thread — the *server* coalesces)."""
-
-    def __init__(self, socket_path, timeout: float = 300.0) -> None:
-        import socket as socketlib
-
-        self._sock = socketlib.socket(socketlib.AF_UNIX,
-                                      socketlib.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(str(socket_path))
-        self._rfile = self._sock.makefile("rb")
-
-    def _call(self, req: dict) -> dict:
-        self._sock.sendall(_encode(req))
-        line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("tuning server closed the connection")
-        resp = json.loads(line)
-        if not resp.get("ok"):
-            raise RuntimeError(f"tuning server error: {resp.get('error')}")
-        return resp
-
-    def ping(self) -> bool:
-        return bool(self._call({"op": "ping"}).get("pong"))
-
-    def stats(self) -> dict:
-        return self._call({"op": "stats"})["stats"]
-
-    def save(self) -> str:
-        return self._call({"op": "save"})["path"]
-
-    def shutdown(self) -> None:
-        self._call({"op": "shutdown"})
-
-    def tune(self, sig: WorkloadSignature, *,
-             params: NetworkParams | None = None,
-             machine: MachineParams | None = None) -> TuningRecord:
-        req = {
-            "op": "tune",
-            "signature": sig.as_dict(),
-            "params": (None if params is None
-                       else dataclasses.asdict(params)),
-            "machine": (None if machine is None
-                        else dataclasses.asdict(machine)),
-        }
-        return TuningRecord.from_dict(self._call(req)["record"])
-
-    def close(self) -> None:
-        try:
-            self._rfile.close()
-        finally:
-            self._sock.close()
-
-    def __enter__(self) -> "TuningClient":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False

@@ -219,39 +219,3 @@ class TestArgumentValidation:
     def test_negative_n(self):
         with pytest.raises(ValueError):
             allgather_ring(4, 0, -1)
-
-
-class TestRecursiveDoublingAllgather:
-    """The low-latency power-of-two allgather variant."""
-
-    @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
-    @pytest.mark.parametrize("n", [0, 1, 63, 4096])
-    def test_pairing(self, p, n):
-        from repro.mpi.collectives.algorithms import allgather_recursive_doubling
-        for root in (0, p // 2):
-            validate_schedules(
-                lambda me: allgather_recursive_doubling(p, me, n, root), p, n
-            )
-
-    @pytest.mark.parametrize("p", [2, 4, 8, 16])
-    def test_round_count_logarithmic(self, p):
-        from repro.mpi.collectives.algorithms import allgather_recursive_doubling
-        sched = allgather_recursive_doubling(p, 0, 1024)
-        assert len(sched) == int(math.log2(p))
-
-    @pytest.mark.parametrize("p", [2, 4, 8])
-    def test_volume_matches_ring(self, p):
-        from repro.mpi.collectives.algorithms import (
-            allgather_recursive_doubling,
-            allgather_ring,
-        )
-        n = 1 << 12
-        v_rd = total_send_volume(
-            lambda me: allgather_recursive_doubling(p, me, n), p, n)
-        v_ring = total_send_volume(lambda me: allgather_ring(p, me, n), p, n)
-        assert v_rd == v_ring
-
-    def test_non_pow2_rejected(self):
-        from repro.mpi.collectives.algorithms import allgather_recursive_doubling
-        with pytest.raises(ValueError, match="power-of-two"):
-            allgather_recursive_doubling(6, 0, 100)

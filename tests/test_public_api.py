@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -25,6 +26,20 @@ class TestExports:
         assert mod.__doc__, f"{module_name} lacks a module docstring"
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module_name}.{name} missing"
+
+    def test_every_module_all_resolves(self):
+        """Each ``repro.*`` module's ``__all__`` resolves, lazy tables too."""
+        modules = [info.name for info in
+                   pkgutil.walk_packages(repro.__path__, "repro.")
+                   if info.name.rsplit(".", 1)[-1] != "__main__"]
+        assert len(modules) > len(SUBPACKAGES)
+        missing = []
+        for module_name in modules:
+            mod = importlib.import_module(module_name)
+            missing += [f"{module_name}.{name}"
+                        for name in getattr(mod, "__all__", ())
+                        if not hasattr(mod, name)]
+        assert not missing, f"unresolvable exports: {missing}"
 
     def test_version_string(self):
         parts = repro.__version__.split(".")

@@ -5,15 +5,13 @@ without drift: caching, coalescing, interpolation and replay reuse may only
 change *how much work* is done, never *which record wins* — and given the
 same first-miss order the db written through the service must be
 byte-identical to :func:`repro.tune.service.tune_serial`.  These tests pin
-that contract plus the contention behavior of the underlying stores
-(generation-ordered eviction under interleaved writers, file-locked
-load-modify-store across processes, the unix-socket server).
+that contract plus the contention behavior of the underlying store
+(generation-ordered eviction under interleaved writers).
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import time
 
@@ -35,9 +33,6 @@ from repro.tune.graphstore import GraphStore
 from repro.tune.search import DEFAULT_SHORTLIST
 from repro.tune.service import (
     INTERPOLATION_REL_TOL,
-    LockedTuningDB,
-    TuningClient,
-    TuningServer,
     TuningService,
     degraded_params,
     find_neighbor,
@@ -54,21 +49,6 @@ def _spin(predicate, timeout: float = 30.0) -> None:
     while not predicate():
         assert time.monotonic() < deadline, "test orchestration stalled"
         time.sleep(0.0005)
-
-
-def _connect(sock_path) -> TuningClient:
-    """Connect to a just-started server.
-
-    The socket file appears at ``bind()`` time, a hair before ``listen()``
-    — a client racing into that window sees ECONNREFUSED, so retry.
-    """
-    deadline = time.monotonic() + 30.0
-    while True:
-        try:
-            return TuningClient(sock_path)
-        except (ConnectionRefusedError, FileNotFoundError):
-            assert time.monotonic() < deadline, "tuning server never listened"
-            time.sleep(0.005)
 
 
 def _stampede(svc: TuningService, plan, gate: threading.Event):
@@ -323,7 +303,8 @@ class TestGraphStoreReuse:
         first = Tuner(db=TuningDB(db_path), seed=SEED, graph_store=store)
         rec1 = first.autotune_ssc(2, 64)
         assert first.simulations > 0 and first.replays == 0
-        assert store.workloads() == [signature_for_ssc(2, 64).workload_key]
+        assert store.load(signature_for_ssc(2, 64).workload_key)
+        assert len(list(store.root.glob("*.json"))) == 1
 
         # A *fresh* tuner (fresh process stand-in) under different fabric
         # constants: shortlist scoring must run entirely through replay.
@@ -511,44 +492,6 @@ class TestDBContention:
         # Evicted key is also gone from the service cache (no stale serve).
         assert sigs[0].key not in svc._cache
 
-    def test_locked_db_load_modify_store_across_processes(self, tmp_path):
-        db_path = tmp_path / "tune_db.json"
-        TuningDB(db_path).save()  # seed an empty db file
-        ctx = multiprocessing.get_context("spawn")
-        procs = [ctx.Process(target=_locked_insert_worker,
-                             args=(str(db_path), n))
-                 for n in (48, 64, 96)]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=120.0)
-            assert p.exitcode == 0
-        merged = TuningDB(db_path)
-        assert len(merged) == 3
-        gens = sorted(r.generation for r in merged._records.values())
-        assert gens == [0, 1, 2]  # re-stamped under the lock: no clobbers
-
-    def test_mp_safe_services_share_one_db_file(self, tmp_path):
-        db_path = tmp_path / "tune_db.json"
-        TuningDB(db_path).save()
-        ctx = multiprocessing.get_context("spawn")
-        procs = [ctx.Process(target=_mp_safe_service_worker,
-                             args=(str(db_path), n))
-                 for n in (48, 64, 96)]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=180.0)
-            assert p.exitcode == 0
-        merged = TuningDB(db_path)
-        assert len(merged) == 3
-        gens = sorted(r.generation for r in merged._records.values())
-        assert gens == [0, 1, 2]
-
-    def test_mp_safe_requires_a_path(self):
-        with pytest.raises(ValueError, match="db path"):
-            TuningService(TuningDB(), mp_safe=True)
-
 
 class TestServiceSerialEquivalence:
     @given(plan=st.lists(st.sampled_from([48, 64, 96]), min_size=1,
@@ -566,67 +509,6 @@ class TestServiceSerialEquivalence:
         finally:
             svc.close()
         assert service_json == tune_serial(sigs, seed=SEED).to_json()
-
-
-class TestServerClient:
-    def test_unix_socket_roundtrip(self, tmp_path):
-        sock = tmp_path / "tune.sock"
-        db_path = tmp_path / "tune_db.json"
-        svc = TuningService(str(db_path), seed=SEED)
-        server = TuningServer(svc, sock)
-        th = threading.Thread(target=lambda: __import__("asyncio").run(
-            server.serve()), daemon=True)
-        th.start()
-        _spin(sock.exists)
-        try:
-            with _connect(sock) as client:
-                assert client.ping()
-                sig = signature_for_ssc(2, 48)
-                rec = client.tune(sig)
-                assert rec.signature.key == sig.key
-                again = client.tune(sig)
-                assert again.to_bytes() == rec.to_bytes()
-                stats = client.stats()
-                assert stats["searches"] == 1 and stats["hits"] == 1
-                saved = client.save()
-                assert saved == str(db_path)
-                client.shutdown()
-            th.join(timeout=30.0)
-            assert not th.is_alive()
-        finally:
-            svc.close()
-        assert len(TuningDB(db_path)) == 1
-
-    def test_concurrent_clients_coalesce(self, tmp_path):
-        sock = tmp_path / "tune.sock"
-        svc = TuningService(TuningDB(), seed=SEED)
-        server = TuningServer(svc, sock)
-        th = threading.Thread(target=lambda: __import__("asyncio").run(
-            server.serve()), daemon=True)
-        th.start()
-        _spin(sock.exists)
-        sig = signature_for_ssc(2, 48)
-        results: list = [None] * 4
-        try:
-            def worker(i):
-                with _connect(sock) as c:
-                    results[i] = c.tune(sig)
-            workers = [threading.Thread(target=worker, args=(i,),
-                                        daemon=True) for i in range(4)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60.0)
-            stats = svc.stats()
-            with _connect(sock) as c:
-                c.shutdown()
-            th.join(timeout=30.0)
-        finally:
-            svc.close()
-        assert all(r is not None for r in results)
-        assert {r.to_bytes() for r in results} == {results[0].to_bytes()}
-        assert stats["searches"] == 1
-        assert stats["coalesced"] + stats["hits"] == 3
 
 
 class TestServiceCLI:
@@ -661,21 +543,5 @@ class TestServiceCLI:
         out = capsys.readouterr().out
         assert "interpolated: 1" in out
         assert len(TuningDB(db_path)) == 2
-        assert GraphStore.for_db(db_path).workloads()
-
-
-# -- multiprocessing workers (module level: spawn re-imports this file) ----
-
-def _locked_insert_worker(db_path: str, n: int) -> None:
-    """One process's load-modify-store insert through the file lock."""
-    rec = Tuner(seed=SEED).autotune_ssc(2, n)
-    LockedTuningDB(db_path).insert_many([rec])
-
-
-def _mp_safe_service_worker(db_path: str, n: int) -> None:
-    """One mp-safe service per process, all sharing one db file."""
-    svc = TuningService(db_path, seed=SEED, mp_safe=True)
-    try:
-        svc.tune(signature_for_ssc(2, n))
-    finally:
-        svc.close()
+        assert GraphStore.for_db(db_path).load(
+            signature_for_ssc(2, 64).workload_key)
