@@ -96,8 +96,6 @@ _FINDING = "reports a finding; the shipped code and programs raise none"
 _PUBLIC = "public method of an exported class; tier-1 tests pin it"
 _RA106 = "RA106: only a deadlocked program reaches it"
 _RA107 = "RA107: only waitany([]) reaches it"
-_ADD_BATCH = ("multi-add rounds: no generator in algorithms.py emits one; "
-              "hand-built tier-1 schedules pin it (deletion candidate)")
 
 #: ``"module:qualname"`` -> why a function nothing above enters stays.
 KEEP = {
@@ -125,10 +123,6 @@ KEEP = {
         "only the bad seeds reach it (benchmarks/gates/test_fit_seeds.py)",
     "repro.dense.summa:SummaResult.algorithm":
         "result field beside the documented colors/depth",
-    "repro.mpi.collectives.executor:ScheduleRunner._flush_add_batch":
-        _ADD_BATCH,
-    "repro.mpi.collectives.executor:ScheduleRunner._complete_many":
-        _ADD_BATCH,
     "repro.mpi.collectives.plan:select_allgather":
         "selector of the documented CommView.allgather",
     "repro.mpi.collectives.plan:select_reduce_scatter":
@@ -178,11 +172,6 @@ KEEP = {
         "serializes the golden-trace fixtures (tests/test_golden_trace.py)",
     "repro.sim.trace:Trace.records_from_jsonable":
         "loads the golden-trace fixtures (tests/test_golden_trace.py)",
-    "repro.tune.service:_done_future":
-        "a miss whose record commits while it waits for the service lock",
-    "repro.util.ascii:series_chart":
-        "line-chart twin of hbar_chart; only tier-1 tests call it "
-        "(deletion candidate)",
     "repro.util.tables:Table.column": _PUBLIC,
 }
 

@@ -687,7 +687,6 @@ def _clone_with_rounds(plan: CollectivePlan, rounds) -> CollectivePlan:
     clone.key = plan.key
     clone.rounds = tuple(tuple(ops) for ops in rounds)
     clone.round_max_nbytes = plan.round_max_nbytes
-    clone.round_adds = plan.round_adds
     return clone
 
 

@@ -14,6 +14,7 @@ import argparse
 import pathlib
 import sys
 import time
+import traceback
 
 from repro.bench.harness import EXPERIMENTS, load_experiment, run_experiment
 from repro.util import MB
@@ -150,8 +151,12 @@ def main(argv: list[str] | None = None) -> int:
                 load_experiment(name).check(out)
                 print(f"[{name}] qualitative checks PASSED")
             except AssertionError as exc:
-                failures.append((name, str(exc)))
-                print(f"[{name}] qualitative checks FAILED: {exc}")
+                reason = str(exc)
+                if not reason:  # a bare assert: name it by its source line
+                    frame = traceback.extract_tb(exc.__traceback__)[-1]
+                    reason = f"{frame.filename}:{frame.lineno}: {frame.line}"
+                failures.append((name, reason))
+                print(f"[{name}] qualitative checks FAILED: {reason}")
         print()
     if failures:
         print(f"{len(failures)} experiment(s) failed checks: "

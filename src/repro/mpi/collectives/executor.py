@@ -45,8 +45,7 @@ class ScheduleRunner:
 
     __slots__ = ("world", "comm", "me_global", "tag", "plan", "buf",
                  "itemsize", "blocking", "done", "_stage_label", "_add_label",
-                 "_round", "_pending", "_started", "_batching", "_add_batch",
-                 "_rec_acc")
+                 "_round", "_pending", "_started", "_rec_acc")
 
     def __init__(
         self,
@@ -84,8 +83,6 @@ class ScheduleRunner:
         self._round = 0
         self._pending = 0
         self._started = False
-        self._batching = False
-        self._add_batch: list = []
         self._rec_acc = None  # recording: join of this round's completions
 
     # -- driving -----------------------------------------------------------------
@@ -149,20 +146,6 @@ class ScheduleRunner:
         # recording), as any callback registered at post time does; recorded
         # graphs keep that node structure (pinned in test_replay_storage).
         post = world.engine._rec_ctx
-        # Rounds with several nonzero adds batch the combines of payloads
-        # that arrive synchronously while posting (eager sends already in
-        # the unexpected queue) into one vectorized apply + one merged
-        # progress submission.  Single-add rounds — every generator in
-        # algorithms.py — take the unbatched path bit-for-bit unchanged.
-        batch = buf is not None and self.plan.round_adds[i] >= 2
-        if batch:
-            self._batching = True
-            rec = world.engine.recorder
-            if rec is not None:
-                # Whether a payload lands in the batch depends on arrival
-                # timing relative to the posting loop — not expressible in
-                # the graph.  (Tuner/golden runs are modeled-mode, buf=None.)
-                rec.invalidate("numeric-mode add batching")
         # Each op is counted before it is posted (its callback may run
         # inside the post); the extra 1 guards against the round completing
         # while it is still being posted.
@@ -187,10 +170,6 @@ class ScheduleRunner:
                                        self._add_arrived, lo, hi)
             else:  # pragma: no cover - schedules are validated
                 raise ValueError(f"unknown op kind {kind!r}")
-        if batch:
-            self._batching = False
-            if self._add_batch:
-                self._flush_add_batch()
         self._pending -= 1
         if self._pending > 0:
             return False
@@ -222,11 +201,6 @@ class ScheduleRunner:
         if value is SIZE_ONLY:
             value = None  # symbolic payload from a sizes-only sender
         combine_bytes = (hi - lo) * self.itemsize
-        if self._batching and combine_bytes > 0:
-            # Arrived synchronously while _run_round was still posting this
-            # round; coalesced into one flush at the end of the loop.
-            self._add_batch.append((lo, hi, value, combine_bytes))
-            return
         if self.buf is not None and value is not None:
             dst = self.buf[lo:hi]
             np.add(dst, value, out=dst)
@@ -237,33 +211,6 @@ class ScheduleRunner:
             )
         else:
             self._complete_one()
-
-    def _flush_add_batch(self) -> None:
-        """Apply batched same-round add payloads in one vectorized pass.
-
-        The accumulates run now (payload views must be consumed before any
-        zero-copy sender can move on), while the modeled combine time is
-        submitted as a single progress task covering the whole batch — same
-        total FIFO occupancy and same finish instant as the equivalent
-        back-to-back submissions.
-        """
-        batch = self._add_batch
-        self._add_batch = []
-        buf = self.buf
-        total = 0
-        for lo, hi, value, nbytes in batch:
-            if value is not None:
-                dst = buf[lo:hi]
-                np.add(dst, value, out=dst)
-            total += nbytes
-        self.world.progress_of(self.me_global).submit_cb(
-            total / self.world.params.combine_bandwidth,
-            self._add_label, self._complete_many, len(batch),
-        )
-
-    def _complete_many(self, n: int) -> None:
-        self._pending -= n - 1
-        self._complete_one()
 
     def _complete_one(self, post=None) -> None:
         """One op of the round in flight is done; ``post`` is the posting

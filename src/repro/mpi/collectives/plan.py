@@ -11,8 +11,7 @@ counts round after round.  A :class:`CollectivePlan` does that work once:
   ``(kind, peer, lo, hi, nbytes, needs_copy)`` so the executor never
   recomputes sizes;
 * each round carries its maximum op size (the blocking-gap test becomes a
-  single comparison against ``rendezvous_threshold``) and its count of
-  nonzero ``add`` ops (enables the executor's combine batching);
+  single comparison against ``rendezvous_threshold``);
 * ``needs_copy`` is a static may-alias bit: a send must snapshot its buffer
   range only if a ``copy``/``add`` op of the *same or a later* round on this
   rank overlaps the sent range — earlier-round receives completed before the
@@ -154,33 +153,28 @@ class CollectivePlan:
 
     ``rounds`` is a tuple of rounds, each a tuple of
     ``(kind, peer, lo, hi, nbytes, needs_copy)`` ops; ``round_max_nbytes``
-    and ``round_adds`` are per-round tuples consumed by
+    is a per-round tuple consumed by
     :class:`~repro.mpi.collectives.executor.ScheduleRunner`.
     """
 
-    __slots__ = ("key", "rounds", "round_max_nbytes", "round_adds")
+    __slots__ = ("key", "rounds", "round_max_nbytes")
 
     def __init__(self, key, schedule, itemsize: int):
         self.key = key
         itemsize = int(itemsize)
         rounds = []
         max_nbytes = []
-        adds = []
         for rnd in schedule:
             ops = []
             biggest = 0
-            n_adds = 0
             for op in rnd:
                 kind, peer, lo, hi = op
                 nbytes = (hi - lo) * itemsize
                 if nbytes > biggest:
                     biggest = nbytes
-                if kind == "add" and nbytes > 0:
-                    n_adds += 1
                 ops.append((kind, peer, lo, hi, nbytes, False))
             rounds.append(ops)
             max_nbytes.append(biggest)
-            adds.append(n_adds)
         # May-alias pass (back to front): a send needs a private snapshot
         # only if a receive of the same or a later round writes into its
         # range while the payload may still be in flight.
@@ -198,7 +192,6 @@ class CollectivePlan:
                         ops[idx] = op[:5] + (True,)
         self.rounds = tuple(tuple(ops) for ops in rounds)
         self.round_max_nbytes = tuple(max_nbytes)
-        self.round_adds = tuple(adds)
 
     @classmethod
     def build(cls, algorithm: str, p: int, me: int, root: int, n_elems: int,

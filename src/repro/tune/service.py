@@ -38,22 +38,17 @@ decision when it lands.
 
 Determinism contract
 --------------------
-Byte-determinism of the db is non-negotiable.  The service guarantees:
-
-* For a given signature, the committed record's *content* (winner, trace,
-  times) is independent of request interleaving: coalescing and caching
-  change how much work is done, never which record wins.  Searches that
-  could observe each other — same workload key (shared replay graphs) or
-  same family key (interpolation neighbors) — are chained in first-miss
-  order, so replay-vs-simulate and interpolate-vs-search decisions match a
-  serial pass exactly.
-* Generation stamps (which appear in the db bytes) follow **first-miss
-  order**: each miss takes an order ticket under the service lock, finished
-  records are staged, and a watermark flushes them into the db in
-  consecutive ticket order.  Replaying the same first-miss sequence of
-  distinct signatures serially (:func:`tune_serial`, the service's serial
-  twin) therefore produces a **byte-identical db file** — the property the
-  tests and the ``ablation-tune-service`` bench gate pin.
+Byte-determinism of the db is non-negotiable.  Searches run in **one
+lane**: each distinct miss takes an order ticket under the service lock,
+and its leader waits until every earlier ticket has committed before it
+runs :func:`serial_step` — the same step :func:`tune_serial` (the
+service's serial twin) runs for each of its misses.  Searches never
+overlap (under the GIL concurrent ones only contend for it), so
+replay-vs-simulate and interpolate-vs-search decisions and the generation
+stamps in the db bytes follow first-miss order.  Feeding the service's
+first-miss sequence of distinct signatures through :func:`tune_serial`
+therefore produces a **byte-identical db file** by construction — the
+property the tests and the ``ablation-tune-service`` bench gate pin.
 """
 
 from __future__ import annotations
@@ -139,23 +134,13 @@ class _Counter:
             self.value += n
 
 
-class _InFlight:
-    """One registered miss: the shared future plus its order ticket."""
-
-    __slots__ = ("future", "order")
-
-    def __init__(self, future: Future, order: int) -> None:
-        self.future = future
-        self.order = order
-
-
 class TuningService(KernelEntryPoints):
     """Concurrent tuning backend over one :class:`TuningDB`.
 
     Thread-safe; every public method may be called from any thread.  The
-    first thread to miss on a signature runs the search itself (callers
-    are the worker pool — the service owns no threads except the optional
-    stale-while-revalidate refresher).
+    first thread to miss on a signature runs the search itself, in its
+    first-miss turn (callers are the worker pool — the service owns no
+    threads except the optional stale-while-revalidate refresher).
     """
 
     def __init__(self, db: TuningDB | str | os.PathLike | None = None, *,
@@ -165,8 +150,6 @@ class TuningService(KernelEntryPoints):
                  seed: int = 0,
                  replay: str = "auto",
                  graph_store: GraphStore | str | None = "auto",
-                 interpolate: bool = True,
-                 interpolation_tol: float = INTERPOLATION_REL_TOL,
                  stale_while_revalidate: bool = False,
                  search_gate: threading.Event | None = None):
         if isinstance(db, (str, os.PathLike)):
@@ -177,12 +160,9 @@ class TuningService(KernelEntryPoints):
                            if self.db.path is not None else None)
         elif isinstance(graph_store, (str, os.PathLike)):
             graph_store = GraphStore(graph_store)
-        self.tuner = Tuner(db=TuningDB(max_records=self.db.max_records),
-                           policy=policy, shortlist=shortlist,
+        self.tuner = Tuner(db=self.db, policy=policy, shortlist=shortlist,
                            max_candidates=max_candidates, seed=seed,
                            replay=replay, graph_store=graph_store)
-        self.interpolate = interpolate
-        self.interpolation_tol = interpolation_tol
         self.stale_while_revalidate = stale_while_revalidate
         #: Test/bench hook: leaders block here after registering their miss
         #: and before searching, so an orchestrator can guarantee every
@@ -191,15 +171,14 @@ class TuningService(KernelEntryPoints):
         self._gate = search_gate
 
         self._lock = threading.Lock()
+        #: Signalled whenever a search commits and passes the lane on.
+        self._turn = threading.Condition(self._lock)
         #: Read-mostly committed-decision cache; plain dict reads are the
         #: warm path (atomic under the GIL, no service lock).
         self._cache: dict[str, TuningRecord] = dict(self.db._records)
-        self._inflight: dict[str, _InFlight] = {}
-        self._wl_tail: dict[str, Future] = {}
-        self._family_tail: dict[str, Future] = {}
-        self._staged: dict[int, tuple] = {}
-        self._next_order = 0
-        self._next_insert = 0
+        self._inflight: dict[str, Future] = {}
+        self._next_order = 0        # the next miss's order ticket
+        self._next_run = 0          # the ticket whose turn it is to search
         self._requests = _Counter()
         self._hits = _Counter()
         self._coalesced = 0
@@ -222,23 +201,27 @@ class TuningService(KernelEntryPoints):
         if rec is not None:
             self._hits.add()
             return rec
-        leader, fut, preds, order, stale = self._register(sig, params,
-                                                          machine)
-        if stale is not None:
-            return stale
-        if leader:
-            self._run_search_job(sig, fut, preds, order, params, machine)
+        fut, order, answer = self._register(sig, params, machine)
+        if answer is not None:
+            return answer
+        if order >= 0:
+            self._run_search_job(sig, fut, order, params, machine)
         return fut.result()
 
     def _register(self, sig: WorkloadSignature, params=None, machine=None):
-        """Take the miss path's decisions under the service lock."""
+        """Take the miss path's decisions under the service lock.
+
+        Returns ``(future, order, answer)``: ``answer`` is a record to
+        return at once (a late hit or a stale serve); ``order >= 0`` makes
+        the caller the leader that runs the search in that turn.
+        """
         key = sig.key
         with self._lock:
             rec = self._cache.get(key)
             if rec is not None:
                 # Committed while we waited for the lock: a (late) hit.
                 self._hits.add()
-                return False, _done_future(rec), (), -1, None
+                return None, -1, rec
             if self.tuner.policy == "db-only":
                 raise KeyError(
                     f"tuning policy 'db-only' found no record for "
@@ -247,110 +230,63 @@ class TuningService(KernelEntryPoints):
             stale = None
             if self.stale_while_revalidate:
                 stale = self._find_stale_locked(sig)
-            fl = self._inflight.get(key)
-            if fl is not None:
+            fut = self._inflight.get(key)
+            if fut is not None:
                 self._coalesced += 1
                 if stale is not None:
                     self._stale_served += 1
-                    return False, fl.future, (), -1, stale
-                return False, fl.future, (), -1, None
+                return fut, -1, stale
             order = self._next_order
             self._next_order += 1
-            fut: Future = Future()
-            preds = []
-            wt = self._wl_tail.get(sig.workload_key)
-            if wt is not None:
-                preds.append(wt)
-            ft = self._family_tail.get(sig.family_key)
-            if ft is not None and ft is not wt:
-                preds.append(ft)
-            self._wl_tail[sig.workload_key] = fut
-            self._family_tail[sig.family_key] = fut
-            self._inflight[key] = _InFlight(fut, order)
-            if stale is not None:
-                # Serve the old-fabric record now; search in the background.
-                self._stale_served += 1
-                self._refreshes += 1
-                pool = self._refresh_pool
-                if pool is None:
-                    pool = self._refresh_pool = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix="tune-refresh")
-                self._refresh_futures = [f for f in self._refresh_futures
-                                         if not f.done()]
-                self._refresh_futures.append(pool.submit(
-                    self._run_search_job, sig, fut, tuple(preds), order,
-                    params, machine))
-                return False, fut, (), -1, stale
-            return True, fut, tuple(preds), order, None
+            fut = self._inflight[key] = Future()
+            if stale is None:
+                return fut, order, None
+            # Serve the old-fabric record now; search in the background.
+            self._stale_served += 1
+            self._refreshes += 1
+            pool = self._refresh_pool
+            if pool is None:
+                pool = self._refresh_pool = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="tune-refresh")
+            self._refresh_futures = [f for f in self._refresh_futures
+                                     if not f.done()]
+            self._refresh_futures.append(pool.submit(
+                self._run_search_job, sig, fut, order, params, machine))
+            return fut, -1, stale
 
-    def _run_search_job(self, sig: WorkloadSignature, fut: Future, preds,
+    def _run_search_job(self, sig: WorkloadSignature, fut: Future,
                         order: int, params, machine) -> None:
-        """Leader body: wait for chained predecessors, search, commit."""
+        """Leader body: wait for the gate and this ticket's turn, search,
+        commit, and pass the turn on — also when the search raised."""
+        if self._gate is not None:
+            self._gate.wait()
+        with self._turn:
+            while self._next_run != order:
+                self._turn.wait()
         try:
-            if self._gate is not None:
-                self._gate.wait()
-            for p in preds:
-                try:
-                    p.result()
-                except BaseException:
-                    pass            # only completion matters, not success
-            neighbor = None
-            if self.interpolate:
-                with self._lock:
-                    neighbor = find_neighbor(self._cache.values(), sig,
-                                             self.interpolation_tol)
-            if neighbor is not None:
-                rec = self.tuner.search_record(
-                    sig, params=params, machine=machine,
-                    seed_shortlist=interpolation_seeds(neighbor))
-            else:
-                rec = self.tuner.search_record(sig, params=params,
-                                               machine=machine)
+            rec, interpolated = serial_step(self.tuner, sig, params, machine)
         except BaseException as exc:
-            with self._lock:
-                self._commit_locked(sig, order, None)
+            self._end_turn(sig.key)
             fut.set_exception(exc)
             return
-        with self._lock:
-            if neighbor is not None:
-                self._interpolated += 1
-            else:
-                self._searches += 1
-            self._commit_locked(sig, order, rec)
+        self._end_turn(sig.key, interpolated)
         fut.set_result(rec)
 
-    def _commit_locked(self, sig: WorkloadSignature, order: int,
-                       rec: TuningRecord | None) -> None:
-        """Stage one finished search; flush the consecutive-order prefix.
-
-        The record becomes visible in the cache immediately (new requests
-        must hit, and chained family searches need it for neighbor scans);
-        its generation stamp waits for the watermark so db insertion order
-        equals first-miss order regardless of completion order.
-        """
-        key = sig.key
-        if rec is not None:
-            self._cache[key] = rec
-        self._staged[order] = (key, rec)
-        fl = self._inflight.pop(key, None)
-        if fl is not None:
-            # Prune chain tails that point at the finished future so the
-            # tail maps stay bounded by the in-flight set.
-            if self._wl_tail.get(sig.workload_key) is fl.future:
-                del self._wl_tail[sig.workload_key]
-            if self._family_tail.get(sig.family_key) is fl.future:
-                del self._family_tail[sig.family_key]
-        batch = []
-        while self._next_insert in self._staged:
-            k, r = self._staged.pop(self._next_insert)
-            self._next_insert += 1
-            if r is not None:
-                batch.append(r)
-        for r in batch:
-            before = set(self.db._records)
-            self.db.insert(r)
-            for gone in before - set(self.db._records):
-                self._cache.pop(gone, None)
+    def _end_turn(self, key: str, interpolated: bool | None = None) -> None:
+        """Commit a finished search (``interpolated`` is None when it
+        raised) and hand the lane to the next ticket."""
+        with self._turn:
+            if interpolated is not None:
+                if interpolated:
+                    self._interpolated += 1
+                else:
+                    self._searches += 1
+                # The db insert may have evicted records: the cache mirrors
+                # the db, so an evicted key is never served stale.
+                self._cache = dict(self.db._records)
+            del self._inflight[key]
+            self._next_run += 1
+            self._turn.notify_all()
 
     def _find_stale_locked(self, sig) -> TuningRecord | None:
         """Newest committed record of the same workload, any fabric hash."""
@@ -371,7 +307,7 @@ class TuningService(KernelEntryPoints):
         """Block until every in-flight and background search has committed."""
         while True:
             with self._lock:
-                futs = [fl.future for fl in self._inflight.values()]
+                futs = list(self._inflight.values())
                 futs += [f for f in self._refresh_futures if not f.done()]
             if not futs:
                 return
@@ -415,40 +351,40 @@ class TuningService(KernelEntryPoints):
             }
 
 
-def _done_future(rec: TuningRecord) -> Future:
-    fut: Future = Future()
-    fut.set_result(rec)
-    return fut
+def serial_step(tuner: Tuner, sig: WorkloadSignature, params=None,
+                machine=None) -> tuple[TuningRecord, bool]:
+    """Search one miss with ``tuner`` and insert the record into its db.
+
+    The search is seeded with the shortlist of ``sig``'s family neighbor
+    in ``tuner.db`` when there is one.  Returns ``(record, interpolated)``.
+    This is the one search step of both :func:`tune_serial` and the
+    service's lane.
+    """
+    neighbor = find_neighbor(tuner.db._records.values(), sig)
+    seeds = interpolation_seeds(neighbor) if neighbor is not None else None
+    rec = tuner.search_record(sig, params=params, machine=machine,
+                              seed_shortlist=seeds)
+    tuner.db.insert(rec)
+    return rec, neighbor is not None
 
 
-def tune_serial(requests, db: TuningDB | None = None, *,
-                interpolate: bool = True,
-                interpolation_tol: float = INTERPOLATION_REL_TOL,
+def tune_serial(requests, db: TuningDB | None = None,
                 **tuner_opts) -> TuningDB:
     """The service's **serial twin**: same decisions, one thread, no cache.
 
     ``requests`` is an iterable of ``WorkloadSignature`` (or
     ``(signature, params, machine)`` tuples) processed strictly in order
-    with a plain :class:`Tuner` — hit → return, family neighbor →
-    interpolate, otherwise full search.  Feeding the service's first-miss
-    sequence through this function must produce a byte-identical
-    ``to_json()`` — that equality is the determinism gate.
+    with a plain :class:`Tuner` — a hit is skipped, a miss runs
+    :func:`serial_step`.  Feeding the service's first-miss sequence
+    through this function must produce a byte-identical ``to_json()`` —
+    that equality is the determinism gate.
     """
-    db = db if db is not None else TuningDB()
     tuner = Tuner(db=db, **tuner_opts)
     for req in requests:
         if isinstance(req, WorkloadSignature):
             sig, params, machine = req, None, None
         else:
             sig, params, machine = req
-        if db.lookup(sig) is not None:
-            continue
-        neighbor = (find_neighbor(db._records.values(), sig,
-                                  interpolation_tol)
-                    if interpolate else None)
-        if neighbor is not None:
-            tuner.interpolate_from(sig, neighbor, params=params,
-                                   machine=machine)
-        else:
-            tuner.tune(sig, params=params, machine=machine)
-    return db
+        if tuner.db.lookup(sig) is None:
+            serial_step(tuner, sig, params, machine)
+    return tuner.db

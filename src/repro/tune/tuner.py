@@ -4,7 +4,10 @@ A :class:`Tuner` binds a :class:`~repro.tune.db.TuningDB` (possibly
 ephemeral) to a :class:`TuningPolicy`.  :func:`repro.kernels.run_kernel`
 calls :meth:`Tuner.tune` for ``run_ssc(..., tune="auto")`` and friends; the
 CLI (``python -m repro.tune``) and the ``ablation-autotune`` bench
-experiment use the per-kernel ``autotune_*`` shorthands.
+experiment use the per-kernel ``autotune_*`` shorthands.  The
+:class:`~repro.tune.service.TuningService` runs its misses through its own
+tuner one at a time, with the same step as its serial twin
+(:func:`~repro.tune.service.serial_step`).
 
 Policies
 --------
@@ -24,6 +27,7 @@ Policies
 
 from __future__ import annotations
 
+import gc
 import threading
 from collections import Counter
 
@@ -134,8 +138,8 @@ class Tuner(KernelEntryPoints):
             self.replay = "auto"
         self.graph_cache: dict = {}
         self._loaded_workloads: set[str] = set()
-        #: Counter guard: tuners are shared across service worker threads,
-        #: and ``+=`` on attributes is a read-modify-write race.
+        #: Counter guard: user threads may share a tuner, and ``+=`` on
+        #: attributes is a read-modify-write race.
         self._counter_lock = threading.Lock()
         #: Simulator invocations across this tuner's lifetime (warm starts
         #: add zero — the warm-start tests assert exactly that).
@@ -179,37 +183,14 @@ class Tuner(KernelEntryPoints):
                       ) -> TuningRecord:
         """Run the search and build the record **without inserting it**.
 
-        The service commits records itself in deterministic first-miss
-        order (generation stamps appear in the db bytes); callers that
-        want the plain insert-on-search behavior use :meth:`tune`.
-        ``seed_shortlist`` enables an interpolation warm start (see
-        :func:`repro.tune.search.search`).
+        :func:`repro.tune.service.serial_step` inserts it after choosing
+        the warm start; callers that want the plain insert-on-search
+        behavior use :meth:`tune`.  ``seed_shortlist`` enables an
+        interpolation warm start (see :func:`repro.tune.search.search`).
         """
         outcome = self._search(sig, params=params, machine=machine,
                                seed_shortlist=seed_shortlist)
         return self._record(sig, outcome)
-
-    def interpolate_from(self, sig: WorkloadSignature,
-                         neighbor: TuningRecord, *,
-                         params: NetworkParams | None = None,
-                         machine: MachineParams | None = None,
-                         ) -> TuningRecord:
-        """Tune ``sig`` by warm-starting from a nearby workload's record.
-
-        The neighbor's surviving shortlist (every trace entry that was
-        actually scored, ``sim_time`` set) seeds stage 2; stage 1's full
-        enumeration still runs (it is microseconds and provides validity
-        filtering plus the trace), but only the re-ranked seeds are
-        simulated/replayed.  The result is inserted under ``sig``'s key
-        with ``interpolated`` statuses.  This is the serial twin of the
-        service's interpolation path — the byte-identity tests compare
-        the two.
-        """
-        seeds = interpolation_seeds(neighbor)
-        record = self.search_record(sig, params=params, machine=machine,
-                                    seed_shortlist=seeds)
-        self.db.insert(record)
-        return record
 
     def _search(self, sig: WorkloadSignature, *,
                 params: NetworkParams | None,
@@ -219,6 +200,12 @@ class Tuner(KernelEntryPoints):
         candidates = enumerate_candidates(sig, machine=machine)
         default = paper_default_candidate(sig)
         loaded = self._load_graphs(sig)
+        if any(wl == sig.workload_key for wl, _ck in self.graph_cache):
+            # Replay allocates per-node value arrays sized by the recording,
+            # the largest allocations a search makes.  Free the dead Worlds
+            # that earlier simulations left in reference cycles first, so
+            # the arrays reuse that memory instead of growing the heap.
+            gc.collect()
         outcome = search(
             sig, candidates, default, params=params, machine=machine,
             shortlist=self.shortlist, max_candidates=self.max_candidates,

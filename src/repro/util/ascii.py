@@ -1,8 +1,8 @@
 """ASCII chart rendering for examples and the benchmark CLI.
 
 The paper's figures are line charts; in a terminal we render horizontal bar
-charts and simple log-x series, which is all the reproduction targets need
-(relative ordering and crossovers).
+charts, which is all the reproduction targets need (relative ordering and
+crossovers).
 """
 
 from __future__ import annotations
@@ -44,32 +44,3 @@ def hbar_chart(
         lines.append(f"{str(label).rjust(label_w)} | {bar.ljust(width)} {fmt.format(value)}")
     return "\n".join(lines) + "\n"
 
-
-def series_chart(
-    xs: Sequence[float],
-    series: dict[str, Sequence[float]],
-    *,
-    width: int = 48,
-    x_fmt=str,
-    fmt: str = "{:.0f}",
-) -> str:
-    """Grouped bars: for each x, one bar per named series (shared scale).
-
-    Renders the multi-line structure of the paper's Fig. 3/5 in text form.
-    """
-    if not series:
-        return "(empty chart)\n"
-    for name, ys in series.items():
-        if len(ys) != len(xs):
-            raise ValueError(f"series {name!r} length != xs length")
-    scale = max(max(ys) for ys in series.values())
-    name_w = max(len(n) for n in series)
-    out = []
-    for i, x in enumerate(xs):
-        out.append(f"{x_fmt(x)}:")
-        for name, ys in series.items():
-            n = min(width, int(round(width * ys[i] / scale))) if scale > 0 else 0
-            out.append(
-                f"  {name.rjust(name_w)} | {('#' * n).ljust(width)} {fmt.format(ys[i])}"
-            )
-    return "\n".join(out) + "\n"

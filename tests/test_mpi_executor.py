@@ -122,6 +122,35 @@ class TestProgressCosts:
         assert np.all(buf1 == 3.0)
         assert np.all(buf0 == 2.0)  # sender unchanged
 
+    def test_two_add_round_sums_both_ranges(self):
+        """A round with two adds from two peers sums each range and charges
+        one combine task per add on the receiver's progress engine."""
+        params = NetworkParams()
+        world = World(block_placement(3, 1), params=params, trace=True)
+        n = 4000
+        buf0 = np.full(2 * n, 1.0)
+        buf1 = np.full(2 * n, 2.0)
+        buf2 = np.full(2 * n, 5.0)
+        s0 = [[("add", 1, 0, n), ("add", 2, n, 2 * n)]]
+        s1 = [[("send", 0, 0, n)]]
+        s2 = [[("send", 0, n, 2 * n)]]
+        runners = [
+            ScheduleRunner(world, world.comm_world, r, ("c", 0), s, b, 8, False)
+            for r, s, b in ((0, s0, buf0), (1, s1, buf1), (2, s2, buf2))
+        ]
+        e0 = runners[0].start()
+        for r in runners[1:]:
+            r.start()
+        world.engine.run()
+        assert e0.fired
+        assert np.all(buf0[:n] == 3.0)
+        assert np.all(buf0[n:] == 6.0)
+        combines = [s for s in world.trace.by_label("progress:coll:add")
+                    if s.rank == 0]
+        assert len(combines) == 2
+        assert world.progress_of(0).total_busy == pytest.approx(
+            2 * n * 8 / params.combine_bandwidth)
+
     def test_aliased_send_snapshots_buffer(self):
         """A send overlapped by a same-round receive must ship a snapshot.
 

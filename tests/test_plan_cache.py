@@ -36,14 +36,6 @@ class TestCollectivePlan:
                 assert kind in ("send", "copy", "add")
                 assert isinstance(needs_copy, bool)
 
-    def test_round_adds_counts_nonzero_adds(self):
-        plan = CollectivePlan.from_schedule(
-            [[("add", 1, 0, 10), ("add", 1, 10, 20), ("add", 1, 0, 0)],
-             [("copy", 1, 0, 10)]],
-            8,
-        )
-        assert plan.round_adds == (2, 0)
-
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(KeyError, match="unknown collective algorithm"):
             CollectivePlan.build("nope", 4, 0, 0, 10, 8)

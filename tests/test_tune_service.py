@@ -204,6 +204,70 @@ class TestServiceCoalescing:
             svc.close()
 
 
+class TestServiceLane:
+    """Searches run one at a time, in first-miss order."""
+
+    def _misses(self, monkeypatch, fail_first: bool):
+        """Two distinct-family misses registered behind the gate, with
+        ``Tuner.search_record`` wrapped to log enter/exit."""
+        sigs = [signature_for_ssc(2, 48), signature_for_ssc25d(2, 2, 48)]
+        assert sigs[0].family_key != sigs[1].family_key
+        log: list = []
+        real_search = Tuner.search_record
+
+        def search_record(tuner, sig, **kw):
+            log.append(("enter", sig.key))
+            time.sleep(0.05)    # widen the window an overlap would need
+            try:
+                if fail_first and sig.key == sigs[0].key:
+                    raise RuntimeError("search failed")
+                return real_search(tuner, sig, **kw)
+            finally:
+                log.append(("exit", sig.key))
+
+        monkeypatch.setattr(Tuner, "search_record", search_record)
+        gate = threading.Event()
+        svc = TuningService(TuningDB(), seed=SEED, search_gate=gate)
+        outcomes: dict = {}
+
+        def call(sig):
+            try:
+                outcomes[sig.key] = svc.tune(sig)
+            except RuntimeError as exc:
+                outcomes[sig.key] = exc
+
+        threads = []
+        for sig in sigs:
+            th = threading.Thread(target=call, args=(sig,), daemon=True)
+            th.start()
+            threads.append(th)
+            _spin(lambda key=sig.key: key in svc._inflight)
+        gate.set()
+        for th in threads:
+            th.join(timeout=60.0)
+            assert not th.is_alive()
+        svc.close()
+        return sigs, log, outcomes, svc
+
+    def test_searches_never_overlap_and_commit_in_first_miss_order(
+            self, monkeypatch):
+        sigs, log, outcomes, svc = self._misses(monkeypatch, False)
+        assert log == [("enter", sigs[0].key), ("exit", sigs[0].key),
+                       ("enter", sigs[1].key), ("exit", sigs[1].key)]
+        assert [outcomes[s.key].generation for s in sigs] == [0, 1]
+        assert svc.stats()["searches"] == 2
+        assert svc.db.to_json() == tune_serial(sigs, seed=SEED).to_json()
+
+    def test_failed_search_still_passes_the_turn(self, monkeypatch):
+        sigs, log, outcomes, svc = self._misses(monkeypatch, True)
+        assert [e for e, _k in log] == ["enter", "exit", "enter", "exit"]
+        assert isinstance(outcomes[sigs[0].key], RuntimeError)
+        assert outcomes[sigs[1].key].signature.key == sigs[1].key
+        stats = svc.stats()
+        assert stats["searches"] == 1 and stats["inflight"] == 0
+        assert svc.db.keys() == [sigs[1].key]
+
+
 class TestServiceInterpolation:
     def test_near_n_resolves_by_interpolation(self):
         svc = TuningService(TuningDB(), seed=SEED)
@@ -225,17 +289,6 @@ class TestServiceInterpolation:
         assert any(t.status == "interpolated" for t in rec.trace)
         assert rec.best_time is not None
         assert service_json == tune_serial([base, near], seed=SEED).to_json()
-
-    def test_interpolation_off_searches_fresh(self):
-        svc = TuningService(TuningDB(), seed=SEED, interpolate=False)
-        try:
-            svc.tune(signature_for_ssc(2, 64))
-            rec = svc.tune(signature_for_ssc(2, 67))
-            stats = svc.stats()
-        finally:
-            svc.close()
-        assert stats["interpolated"] == 0 and stats["searches"] == 2
-        assert not any(t.status == "interpolated" for t in rec.trace)
 
     def test_interpolated_record_matches_plain_search_winner(self):
         # The warm start bounds cost; the *winner* must still match a

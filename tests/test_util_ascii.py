@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.ascii import hbar_chart, series_chart
+from repro.util.ascii import hbar_chart
 
 
 class TestHBar:
@@ -41,22 +41,3 @@ class TestHBar:
         out = hbar_chart(["a"], [1234.5], fmt="{:.1f}")
         assert "1234.5" in out
 
-
-class TestSeries:
-    def test_structure(self):
-        out = series_chart([1, 2], {"s1": [1.0, 2.0], "s2": [2.0, 4.0]}, width=8)
-        lines = out.splitlines()
-        assert lines[0] == "1:"
-        assert sum(1 for l in lines if l.endswith(":")) == 2
-        assert sum(1 for l in lines if "|" in l) == 4
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            series_chart([1], {"s": [1.0, 2.0]})
-
-    def test_empty(self):
-        assert series_chart([1], {}) == "(empty chart)\n"
-
-    def test_custom_x_format(self):
-        out = series_chart([1024], {"s": [1.0]}, x_fmt=lambda x: f"{x}B")
-        assert "1024B:" in out
