@@ -1,9 +1,10 @@
 """Shared machinery for the paper-reproduction benchmarks.
 
-Each ``benchmarks/test_*.py`` regenerates one table or figure of the paper
-via the experiment registry, asserts its qualitative reproduction targets,
-and records the rendered table both in the benchmark's ``extra_info`` and
-under ``benchmarks/results/`` for inspection (EXPERIMENTS.md quotes these).
+``benchmarks/test_experiments.py`` regenerates every table and figure of
+the experiment registry, asserts each one's qualitative reproduction
+targets, and records the rendered table under ``benchmarks/results/``
+(EXPERIMENTS.md quotes these).  :func:`run_paper_experiment` is the only
+writer of that directory.
 
 The underlying simulations are deterministic, so every benchmark uses a
 single pedantic round: the reported time is the wall time of regenerating
@@ -19,12 +20,10 @@ from repro.bench.harness import load_experiment, run_experiment
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def run_paper_experiment(benchmark, name: str, quick: bool = False):
+def run_paper_experiment(benchmark, name: str):
     """Run experiment ``name`` under pytest-benchmark and verify its targets."""
-    out = benchmark.pedantic(
-        run_experiment, args=(name,), kwargs={"quick": quick},
-        rounds=1, iterations=1,
-    )
+    out = benchmark.pedantic(run_experiment, args=(name,), rounds=1,
+                             iterations=1)
     load_experiment(name).check(out)
     rendered = out.render()
     benchmark.extra_info["experiment"] = name

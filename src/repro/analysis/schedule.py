@@ -39,7 +39,9 @@ RA306  **replay-envelope conformance.**  Schedule structure must be a pure
        field-access-tracing parameter proxy; reading any replay-safe field
        is the finding.
 RA307  **structural validity** of the plan data itself (op kinds, peer
-       ranges, interval sanity, precomputed sizes, key consistency).
+       ranges, interval sanity, precomputed sizes, key consistency, and
+       for keyed plans ranges inside the ``max(n_elems, 1)``-element
+       buffer).
 RA308  **channel-claim soundness.**  Kernels that pin communicator colors
        to fabric channels (the pipelined-multicast SUMMA family) declare
        their ``(color, channel)`` claims
@@ -73,12 +75,14 @@ from dataclasses import dataclass, field
 from repro.analysis.findings import Finding
 from repro.mpi.collectives.plan import (
     GENERATORS,
+    POW2_ONLY,
     SELECTORS,
     CollectivePlan,
     get_plan,
 )
 from repro.netmodel.params import NetworkParams
 from repro.sim.replay import REPLAY_SAFE_FIELDS
+from repro.util.validation import is_power_of_two
 
 #: the op kinds a plan round may contain (receives are ``copy``/``add``).
 OP_KINDS = frozenset({"send", "copy", "add"})
@@ -126,8 +130,10 @@ def verify_plan_set(plans, label: str | None = None) -> list[Finding]:
 
     # -- RA307: structural validity -------------------------------------------
     for me, plan in enumerate(plans):
+        limit = None  # highest element index + 1 an op may touch
         if plan.key is not None:
             algorithm, kp, kme, kroot, kn, kitem = plan.key
+            limit = max(kn, 1)
             if kme != me or kp != p:
                 emit("RA307",
                      f"plan at local rank {me} carries key rank={kme}, "
@@ -141,6 +147,7 @@ def verify_plan_set(plans, label: str | None = None) -> list[Finding]:
                     and isinstance(op[1], int) and 0 <= op[1] < p
                     and op[1] != me
                     and 0 <= op[2] <= op[3]
+                    and (limit is None or op[3] <= limit)
                     and op[4] == (op[3] - op[2]) * _itemsize_of(plan)
                 )
                 if not ok:
@@ -833,6 +840,8 @@ def run_selftest() -> list[str]:
                 f"{sorted(checks - {expected})}")
     for algorithm in sorted(GENERATORS):
         for p in (2, 3, 4, 5, 8):
+            if algorithm in POW2_ONLY and not is_power_of_two(p):
+                continue  # refused: the selectors pick the ring variant
             findings = [f for f in verify_collective(algorithm, p, 0, 64)
                         if f.severity == "error"]
             if findings:

@@ -10,8 +10,10 @@ each round a list of ops
 The algorithms mirror MPICH's choices, which the paper assumes in its
 analysis (§V-A): binomial trees for short messages, scatter + ring-allgather
 broadcast and Rabenseifner reduction (recursive-halving reduce-scatter +
-binomial gather, with the standard fold for non-power-of-two process counts)
-for long messages, and dissemination barriers.  Blocking and nonblocking
+binomial gather) for long messages, and dissemination barriers.  Long
+reductions on non-power-of-two process counts use the ring reduce-scatter
+instead of recursive halving.  Every generator is a concatenation of five
+shared round builders (see :mod:`repro.mpi.collectives.algorithms`).  Blocking and nonblocking
 execution share one engine-driven :class:`~repro.mpi.collectives.executor.
 ScheduleRunner`; blocking execution inserts the per-round synchronization
 gap that pre-posted nonblocking schedules avoid.
@@ -33,9 +35,9 @@ from repro.mpi.collectives.algorithms import (
     allreduce_long,
     allreduce_ring,
     allgather_ring,
+    reduce_scatter_ring,
     barrier_dissemination,
     schedule_volume_bytes,
-    validate_schedules,
 )
 from repro.mpi.collectives.executor import ScheduleRunner
 from repro.mpi.collectives.plan import (
@@ -61,8 +63,8 @@ __all__ = [
     "allreduce_long",
     "allreduce_ring",
     "allgather_ring",
+    "reduce_scatter_ring",
     "barrier_dissemination",
     "schedule_volume_bytes",
-    "validate_schedules",
     "ScheduleRunner",
 ]

@@ -53,7 +53,7 @@ class ScheduleRunner:
         comm,
         me_local: int,
         tag,
-        schedule,
+        plan: CollectivePlan,
         buf,
         itemsize: int,
         blocking: bool,
@@ -63,10 +63,6 @@ class ScheduleRunner:
         self.comm = comm
         self.me_global = comm.ranks[me_local]
         self.tag = tag
-        if isinstance(schedule, CollectivePlan):
-            plan = schedule
-        else:  # raw list-of-rounds schedule from outside the plan cache
-            plan = CollectivePlan.from_schedule(schedule, itemsize)
         self.plan = plan
         self.buf = buf
         self.itemsize = int(itemsize)

@@ -59,26 +59,26 @@ class _SizeOnlyPayload:
 
 SIZE_ONLY = _SizeOnlyPayload()
 
-#: algorithm name -> normalized generator ``f(p, root, me, n) -> Schedule``.
+#: algorithm name -> generator ``f(p, root, me, n) -> Schedule``.
 #: Names are the public vocabulary of the plan cache (stable across PRs:
 #: they appear in cache keys and tests).
 GENERATORS = {
-    "bcast_binomial": lambda p, root, me, n: _alg.bcast_binomial(p, root, me, n),
-    "bcast_long": lambda p, root, me, n: _alg.bcast_long(p, root, me, n),
-    "reduce_binomial": lambda p, root, me, n: _alg.reduce_binomial(p, root, me, n),
-    "reduce_rabenseifner": (
-        lambda p, root, me, n: _alg.reduce_rabenseifner(p, root, me, n)
-    ),
-    "reduce_ring": lambda p, root, me, n: _alg.reduce_ring(p, root, me, n),
-    "allreduce_short": lambda p, root, me, n: _alg.allreduce_short(p, me, n),
-    "allreduce_long": lambda p, root, me, n: _alg.allreduce_long(p, me, n),
-    "allreduce_ring": lambda p, root, me, n: _alg.allreduce_ring(p, me, n),
-    "allgather_ring": lambda p, root, me, n: _alg.allgather_ring(p, me, n, root),
-    "reduce_scatter_ring": (
-        lambda p, root, me, n: _alg._reduce_scatter_ring_rounds(p, root, me, n)
-    ),
-    "barrier": lambda p, root, me, n: _alg.barrier_dissemination(p, me),
+    "bcast_binomial": _alg.bcast_binomial,
+    "bcast_long": _alg.bcast_long,
+    "reduce_binomial": _alg.reduce_binomial,
+    "reduce_rabenseifner": _alg.reduce_rabenseifner,
+    "reduce_ring": _alg.reduce_ring,
+    "allreduce_short": _alg.allreduce_short,
+    "allreduce_long": _alg.allreduce_long,
+    "allreduce_ring": _alg.allreduce_ring,
+    "allgather_ring": _alg.allgather_ring,
+    "reduce_scatter_ring": _alg.reduce_scatter_ring,
+    "barrier": _alg.barrier_dissemination,
 }
+
+#: Generators that raise ``ValueError`` unless ``p`` is a power of two;
+#: the selectors below send every other ``p`` to the ring variants.
+POW2_ONLY = frozenset({"reduce_rabenseifner", "allreduce_long"})
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def select_reduce(p: int, n_elems: int, itemsize: int, params) -> str:
 
 
 def select_allreduce(p: int, n_elems: int, itemsize: int, params) -> str:
-    """Allreduce algorithm (short / fold+halving / ring)."""
+    """Allreduce algorithm (short / halving+ring-allgather / ring)."""
     if n_elems * itemsize < params.long_message_threshold or p <= 2:
         return "allreduce_short"
     if p & (p - 1) == 0:
@@ -211,9 +211,8 @@ class CollectivePlan:
     def from_schedule(cls, schedule, itemsize: int) -> "CollectivePlan":
         """Wrap a raw ``list[list[(kind, peer, lo, hi)]]`` schedule (uncached).
 
-        Back-compat path for callers that hand
-        :class:`~repro.mpi.collectives.executor.ScheduleRunner` a schedule
-        built outside the generator registry.
+        For schedules built outside the generator registry (tests and the
+        verifier's mutation fixtures); the plan carries ``key=None``.
         """
         return cls(None, schedule, itemsize)
 

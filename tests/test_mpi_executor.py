@@ -19,14 +19,16 @@ def make_world_with(params=None, n=2, ppn=1):
 class TestRunnerBasics:
     def test_empty_schedule_completes_immediately(self):
         world = make_world_with()
-        runner = ScheduleRunner(world, world.comm_world, 0, ("c", 0), [],
+        runner = ScheduleRunner(world, world.comm_world, 0, ("c", 0),
+                                CollectivePlan.from_schedule([], 1),
                                 None, 1, blocking=True)
         ev = runner.start()
         assert ev.fired
 
     def test_double_start_rejected(self):
         world = make_world_with()
-        runner = ScheduleRunner(world, world.comm_world, 0, ("c", 0), [],
+        runner = ScheduleRunner(world, world.comm_world, 0, ("c", 0),
+                                CollectivePlan.from_schedule([], 1),
                                 None, 1, blocking=False)
         runner.start()
         with pytest.raises(RuntimeError):
@@ -35,7 +37,8 @@ class TestRunnerBasics:
     def test_empty_rounds_are_free(self):
         world = make_world_with()
         sched = [[], [], []]
-        runner = ScheduleRunner(world, world.comm_world, 0, ("c", 1), sched,
+        runner = ScheduleRunner(world, world.comm_world, 0, ("c", 1),
+                                CollectivePlan.from_schedule(sched, 1),
                                 None, 1, blocking=True)
         ev = runner.start()
         world.engine.run()
@@ -53,8 +56,10 @@ class TestRoundGapPolicy:
         params = NetworkParams(blocking_round_gap=gap)
         world = make_world_with(params)
         s0, s1 = self._paired_schedules(nbytes)
-        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0), s0, None, 1, blocking)
-        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0), s1, None, 1, blocking)
+        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0),
+                            CollectivePlan.from_schedule(s0, 1), None, 1, blocking)
+        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0),
+                            CollectivePlan.from_schedule(s1, 1), None, 1, blocking)
         e0, e1 = r0.start(), r1.start()
         world.engine.run()
         assert e0.fired and e1.fired
@@ -86,8 +91,10 @@ class TestProgressCosts:
         n = 2 * MIB
         s0 = [[("send", 1, 0, n)]]
         s1 = [[("add", 0, 0, n)]]
-        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0), s0, None, 1, False)
-        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0), s1, None, 1, False)
+        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0),
+                            CollectivePlan.from_schedule(s0, 1), None, 1, False)
+        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0),
+                            CollectivePlan.from_schedule(s1, 1), None, 1, False)
         r0.start(); e1 = r1.start()
         world.engine.run()
         busy = world.progress_of(1).total_busy
@@ -100,8 +107,10 @@ class TestProgressCosts:
         n = 2 * MIB
         s0 = [[("send", 1, 0, n)]]
         s1 = [[("copy", 0, 0, n)]]
-        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0), s0, None, 1, False)
-        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0), s1, None, 1, False)
+        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0),
+                            CollectivePlan.from_schedule(s0, 1), None, 1, False)
+        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0),
+                            CollectivePlan.from_schedule(s1, 1), None, 1, False)
         r0.start(); r1.start()
         world.engine.run()
         assert world.progress_of(1).total_busy == pytest.approx(
@@ -115,8 +124,10 @@ class TestProgressCosts:
         buf1 = np.full(n, 1.0)
         s0 = [[("send", 1, 0, n)]]
         s1 = [[("add", 0, 0, n)]]
-        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0), s0, buf0, 8, False)
-        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0), s1, buf1, 8, False)
+        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0),
+                            CollectivePlan.from_schedule(s0, 8), buf0, 8, False)
+        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0),
+                            CollectivePlan.from_schedule(s1, 8), buf1, 8, False)
         r0.start(); r1.start()
         world.engine.run()
         assert np.all(buf1 == 3.0)
@@ -135,7 +146,8 @@ class TestProgressCosts:
         s1 = [[("send", 0, 0, n)]]
         s2 = [[("send", 0, n, 2 * n)]]
         runners = [
-            ScheduleRunner(world, world.comm_world, r, ("c", 0), s, b, 8, False)
+            ScheduleRunner(world, world.comm_world, r, ("c", 0),
+                           CollectivePlan.from_schedule(s, 8), b, 8, False)
             for r, s, b in ((0, s0, buf0), (1, s1, buf1), (2, s2, buf2))
         ]
         e0 = runners[0].start()
@@ -164,8 +176,10 @@ class TestProgressCosts:
         buf1 = np.full(n, 1.0)
         s0 = [[("send", 1, 0, n), ("copy", 1, 0, n)]]
         s1 = [[("send", 0, 0, n), ("copy", 0, 0, n)]]
-        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0), s0, buf0, 8, False)
-        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0), s1, buf1, 8, False)
+        r0 = ScheduleRunner(world, world.comm_world, 0, ("c", 0),
+                            CollectivePlan.from_schedule(s0, 8), buf0, 8, False)
+        r1 = ScheduleRunner(world, world.comm_world, 1, ("c", 0),
+                            CollectivePlan.from_schedule(s1, 8), buf1, 8, False)
         r0.start(); r1.start()
         world.engine.run()
         assert np.all(buf0 == 1.0)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.analysis.schedule import verify_plan_set
 from repro.kernels.symmsquarecube import run_ssc
-from repro.mpi.collectives.algorithms import validate_schedules
 from repro.mpi.collectives.plan import (
     GENERATORS,
+    POW2_ONLY,
     CollectivePlan,
     PlanCache,
     get_plan,
@@ -49,6 +50,7 @@ class TestCollectivePlan:
     )
     def test_plan_rounds_equal_generated_schedule(self, alg, p, n, root_frac):
         """Plans are the generator's schedule plus metadata — never more."""
+        assume(alg not in POW2_ONLY or p & (p - 1) == 0)
         root = int(root_frac * p)
         gen = GENERATORS[alg]
         for me in range(p):
@@ -99,6 +101,7 @@ class TestCollectivePlan:
         n=st.integers(min_value=0, max_value=8192),
     )
     def test_may_alias_bits_match_brute_force(self, alg, p, n):
+        assume(alg not in POW2_ONLY or p & (p - 1) == 0)
         for me in range(p):
             plan = CollectivePlan.build(alg, p, me, 0, n, 8)
             got = [op[5] for rnd in plan.rounds for op in rnd
@@ -212,13 +215,9 @@ class TestPlanCache:
         cache = PlanCache()
         for p in (1, 2, 5, 8, 13):
             for n in (0, 1, p - 1, 1000):
-                validate_schedules(
-                    lambda me: [
-                        [op[:4] for op in rnd]
-                        for rnd in cache.get("allreduce_ring", p, me, 0, n, 8)
-                    ],
-                    p, n,
-                )
+                plans = [cache.get("allreduce_ring", p, me, 0, n, 8)
+                         for me in range(p)]
+                assert not verify_plan_set(plans)
 
 
 class TestCacheHitTransparency:
