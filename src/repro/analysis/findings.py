@@ -10,7 +10,7 @@ as human-readable text or as JSON for tooling.
 from __future__ import annotations
 
 import json
-import traceback
+import sys
 from dataclasses import dataclass, field
 
 
@@ -210,20 +210,23 @@ def render_sarif(findings: list[Finding], tool_name: str = "repro.analysis") -> 
 _LIBRARY_DIRS = ("repro/mpi", "repro/analysis", "repro/sim")
 
 
-def call_site() -> str | None:
-    """Best-effort user call site: innermost stack frame outside the library.
+def call_site(frame=None) -> str | None:
+    """Best-effort user call site: innermost stack frame outside the library,
+    walking outward from ``frame`` (default: the caller's frame).
 
     Generator delegation (``yield from``) keeps the whole rank-program call
     chain on the Python stack while a comm method executes, so walking
     outward from the hook frame finds the program line that issued the
-    operation.  Pure introspection — never touches the simulation clock.
+    operation.  Pure introspection — never touches the simulation clock,
+    and never reads source files: the frames are walked directly, not
+    through :mod:`traceback` (which stats and reads every frame's file).
     """
-    try:
-        stack = traceback.extract_stack()
-    except Exception:  # pragma: no cover - extract_stack does not fail
-        return None
-    for frame in reversed(stack[:-1]):
-        filename = frame.filename.replace("\\", "/")
+    if frame is None:
+        frame = sys._getframe(1)
+    while frame is not None:
+        code = frame.f_code
+        filename = code.co_filename.replace("\\", "/")
         if not any(d in filename for d in _LIBRARY_DIRS):
-            return f"{filename}:{frame.lineno} in {frame.name}"
+            return f"{filename}:{frame.f_lineno} in {code.co_name}"
+        frame = frame.f_back
     return None

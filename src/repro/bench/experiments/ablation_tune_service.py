@@ -171,6 +171,7 @@ def run_coalescing_stampede(threads_n: int, sigs_n: int) -> dict:
         "coalesced": cold["coalesced"],
         "hits": cold["hits"],
         "simulations": cold["simulations"],
+        "aliased": cold["aliased"],
         "records": cold["records"],
         "byte_identical": service_bytes == twin.to_json(),
     }

@@ -141,7 +141,8 @@ def _cmd_warm(args) -> int:
         print(f"searches: {stats['searches']}  "
               f"interpolated: {stats['interpolated']}  "
               f"coalesced: {stats['coalesced']}  hits: {stats['hits']}  "
-              f"simulations: {stats['simulations']}")
+              f"simulations: {stats['simulations']}  "
+              f"aliased: {stats['aliased']}")
         print(_replay_lines(stats["replays"], stats["replay_aborts"],
                             stats["replay_refusals"]))
     finally:

@@ -16,6 +16,10 @@ no later than the incumbent or is pruned — which is why a tuned
 configuration can never be slower than the paper default *by construction*,
 not merely by measurement.
 
+Shortlist entries that run one program — collective overrides the
+protocol selectors resolve to the same algorithms (:func:`schedule_key`) —
+are scored once per search; the later ones reuse the score.
+
 Everything here is deterministic: candidate order is a pure function of the
 signature, deadlines are virtual times, and the only randomness — seeded
 subsampling when the candidate space exceeds ``max_candidates`` — comes
@@ -25,9 +29,10 @@ from an explicit ``random.Random(seed)``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.kernels import KERNELS, run_kernel
+from repro.mpi.collectives.plan import SELECTORS
 from repro.netmodel.params import MachineParams, NetworkParams
 from repro.sim.engine import DeadlineExceeded
 from repro.sim.replay import ReplayInvalid, replay_kernel
@@ -91,6 +96,48 @@ def simulate_candidate(sig: WorkloadSignature, cand: Candidate,
     return res.elapsed, res.world.engine.now
 
 
+def schedule_key(sig: WorkloadSignature, cand: Candidate,
+                 params: NetworkParams | None = None) -> tuple:
+    """The identity of the program ``cand`` runs on ``sig``'s workload.
+
+    ``cand`` with its collective override reset to ``"auto"``, plus the
+    algorithm each collective-op shape the kernel can post
+    (``KernelSpec.population``) selects under ``cand``'s effective
+    parameters.  The override acts only through ``long_message_threshold``,
+    which only the :data:`~repro.mpi.collectives.plan.SELECTORS` read, so
+    two candidates with equal keys post the identical event sequence:
+    where every collective is already long (or binomial, as on 2-rank
+    communicators) ``auto``, ``binomial`` and ``long`` name one schedule.
+    """
+    eff = effective_params(cand, params)
+    shapes = sorted(set(KERNELS[cand.kernel].population(cand, sig.n)))
+    return (replace(cand, collective="auto"),
+            tuple(SELECTORS[verb](size, n_elems, itemsize, eff)
+                  for verb, size, _root, n_elems, itemsize in shapes))
+
+
+def _reuse(prior: tuple | None, deadline: float | None):
+    """``(status, kernel_time, world_time)`` an equal-key entry scored
+    under ``deadline`` would get, given the earlier scoring ``prior``
+    (``(deadline, status, kernel_time, world_time)``), or ``None`` when
+    the earlier result does not decide it.
+
+    Under the same deadline the run is the same run.  A deadline-free run
+    whose world ended by ``deadline`` also finishes under it, with the
+    same kernel time; the world clock then reads the deadline, because a
+    bounded run pins it there (:meth:`repro.sim.engine.Engine.run`).
+    """
+    if prior is None:
+        return None
+    prior_deadline, status, kernel_time, world_time = prior
+    if prior_deadline == deadline:
+        return status, kernel_time, world_time
+    if (prior_deadline is None and status != "pruned-deadline"
+            and world_time <= deadline):
+        return status, kernel_time, deadline
+    return None
+
+
 @dataclass
 class SearchOutcome:
     """What a search pass hands back to the :class:`~repro.tune.tuner.Tuner`."""
@@ -100,6 +147,9 @@ class SearchOutcome:
     trace: list[TraceEntry] = field(default_factory=list)
     simulations: int = 0
     replays: int = 0                  #: shortlist scorings served by replay
+    #: Shortlist entries that took an earlier entry's score because their
+    #: :func:`schedule_key` was equal (no simulation, replay or recording).
+    aliased: int = 0
     replay_aborts: int = 0            #: replays cut short by the deadline
     interpolated: bool = False        #: stage 2 ran on a seeded shortlist
     #: Recordings this search wrote into ``graph_cache`` (new or replaced),
@@ -108,6 +158,58 @@ class SearchOutcome:
     #: Why replay fell back to simulation: candidate key -> the
     #: :class:`~repro.sim.replay.ReplayInvalid` message.
     refusals: dict = field(default_factory=dict)
+
+
+def _score(sig: WorkloadSignature, cand: Candidate, deadline: float | None,
+           out: SearchOutcome, *, params: NetworkParams | None,
+           machine: MachineParams | None, graph_cache: dict | None):
+    """Score one shortlist candidate: ``(status, kernel_time, world_time)``.
+
+    With a ``graph_cache`` the candidate's recorded graph is replayed when
+    there is one (``"replayed"``, or ``"pruned-deadline"`` with no times
+    when the replay proves it cannot beat ``deadline``); otherwise it is
+    simulated (``"simulated"``), recording into the cache when there is
+    one.  A simulation cut short by ``deadline`` raises
+    :class:`DeadlineExceeded`.  Counts and recordings go into ``out``.
+    """
+    # Cache key: workload identity *without* the fabric hash — reusing a
+    # graph under different constants is the entire point; compatibility is
+    # the recording's own check, not the key's.
+    cache_key = (sig.workload_key, cand.key)
+    recg = None if graph_cache is None else graph_cache.get(cache_key)
+    if recg is not None:
+        try:
+            kernel_time, world_time = replay_kernel(
+                recg, params=effective_params(cand, params),
+                machine=machine, deadline=deadline)
+            out.replays += 1
+            return "replayed", kernel_time, world_time
+        except DeadlineExceeded:
+            # The replay stopped at the incumbent's finish with a rank
+            # program still running (see repro.sim.replay) — it never
+            # solved the full graph.
+            out.replays += 1
+            out.replay_aborts += 1
+            return "pruned-deadline", None, None
+        except ReplayInvalid as exc:
+            # Envelope violated: full simulation, and say why.
+            out.refusals[cand.key] = str(exc)
+        finally:
+            # One scoring per graph per search: the fold (several times
+            # the recording's size) must not stay parked in the cache.
+            recg.drop_fold()
+    out.simulations += 1
+    if graph_cache is None:
+        kernel_time, world_time = simulate_candidate(
+            sig, cand, params, machine, deadline=deadline)
+    else:
+        kernel_time, world_time, recg = simulate_candidate(
+            sig, cand, params, machine, deadline=deadline, record=True)
+        if recg is not None and recg.valid:
+            recg.seal()
+            graph_cache[cache_key] = recg
+            out.recorded[cand.key] = recg
+    return "simulated", kernel_time, world_time
 
 
 def _sample(cands: list[Candidate], limit: int, seed: int) -> list[Candidate]:
@@ -137,6 +239,9 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
     skips the shortlist and simulates every candidate (early termination
     still applies).  The paper ``default`` is always scored — simulated
     first, deadline-free — so the returned best is never worse than it.
+    A shortlist entry whose :func:`schedule_key` equals an earlier
+    entry's runs the same program, so it takes that score (counted in
+    ``aliased``) instead of being simulated or replayed again.
 
     ``replay`` selects the shortlist-scoring backend (see
     :data:`REPLAY_MODES`); ``graph_cache`` is a caller-owned dict of
@@ -158,12 +263,10 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
         raise ValueError(f"replay must be one of {REPLAY_MODES}: {replay!r}")
     use_replay = replay == "on" or (replay == "auto"
                                     and graph_cache is not None)
-    if use_replay and graph_cache is None:
+    if not use_replay:
+        graph_cache = None      # scoring never reads or records graphs
+    elif graph_cache is None:
         graph_cache = {}
-    # Cache key: workload identity *without* the fabric hash — reusing a
-    # graph under different constants is the entire point; compatibility is
-    # the recording's own check, not the key's.
-    wl_key = sig.workload_key
     pool = _sample(candidates, max_candidates, seed)
     if default not in pool:
         pool = [default] + pool
@@ -204,58 +307,27 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
     short = [entries[default.key]] + [e for e in short
                                       if e.candidate.key != default.key]
 
-    simulations = 0
-    replays = 0
-    replay_aborts = 0
-    recorded = {}
-    refusals = {}
+    out = SearchOutcome(best=None, default=entries[default.key],
+                        interpolated=interpolated)
+    #: schedule key -> (deadline, status, kernel_time, world_time) of the
+    #: first entry scored with that key.
+    scores: dict[tuple, tuple] = {}
     incumbent: TraceEntry | None = None
     incumbent_world = None
     for entry in short:
         deadline = (None if incumbent_world is None
                     else incumbent_world * DEADLINE_SLACK)
-        scored = None
-        cache_key = (wl_key, entry.candidate.key)
-        if use_replay:
-            recg = graph_cache.get(cache_key)
-            if recg is not None:
-                try:
-                    scored = replay_kernel(
-                        recg, params=effective_params(entry.candidate, params),
-                        machine=machine, deadline=deadline)
-                    replays += 1
-                except DeadlineExceeded:
-                    # The replay stopped at the incumbent's finish with a
-                    # rank program still running (see repro.sim.replay) —
-                    # it never solved the full graph.
-                    entry.status = "pruned-deadline"
-                    replays += 1
-                    replay_aborts += 1
-                    continue
-                except ReplayInvalid as exc:
-                    # Envelope violated: full simulation, and say why.
-                    refusals[entry.candidate.key] = str(exc)
-                finally:
-                    # One scoring per graph per search: the fold (several
-                    # times the recording's size) must not stay parked in
-                    # the cache with it.
-                    recg.drop_fold()
-        if scored is None:
+        skey = schedule_key(sig, entry.candidate, params)
+        result = _reuse(scores.get(skey), deadline)
+        if result is not None:
+            # The same program under the same bound: its score is known.
+            out.aliased += 1
+        else:
             try:
-                if use_replay:
-                    kernel_time, world_time, recg = simulate_candidate(
-                        sig, entry.candidate, params, machine,
-                        deadline=deadline, record=True)
-                    if recg is not None and recg.valid:
-                        recg.seal()
-                        graph_cache[cache_key] = recg
-                        recorded[entry.candidate.key] = recg
-                else:
-                    kernel_time, world_time = simulate_candidate(
-                        sig, entry.candidate, params, machine,
-                        deadline=deadline)
+                result = _score(sig, entry.candidate, deadline, out,
+                                params=params, machine=machine,
+                                graph_cache=graph_cache)
             except DeadlineExceeded:
-                simulations += 1
                 if incumbent is None:
                     # The deadline-free default can only get here when a
                     # caller-injected stage raises; dropping it would leave
@@ -264,19 +336,17 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
                     entry.sim_time = entry.model_time
                     entry.status = "deadline-analytic"
                     incumbent = entry
-                else:
-                    entry.status = "pruned-deadline"
-                continue
-            simulations += 1
-            entry.status = "simulated"
-        else:
-            kernel_time, world_time = scored
-            entry.status = "replayed"
-        if interpolated:
-            # A seeded stage 2 is an interpolated decision however the
-            # score was produced; the db reader can tell this record's
-            # shortlist came from a neighbor, not from enumeration.
-            entry.status = "interpolated"
+                    continue
+                result = ("pruned-deadline", None, None)
+            if interpolated and result[0] != "pruned-deadline":
+                # A seeded stage 2 is an interpolated decision however the
+                # score was produced; the db reader can tell this record's
+                # shortlist came from a neighbor, not from enumeration.
+                result = ("interpolated",) + result[1:]
+            scores[skey] = (deadline,) + result
+        entry.status, kernel_time, world_time = result
+        if entry.status == "pruned-deadline":
+            continue
         entry.sim_time = kernel_time
         if (incumbent is None or kernel_time < incumbent.sim_time
                 or (kernel_time == incumbent.sim_time
@@ -285,9 +355,6 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
         if incumbent_world is None or world_time < incumbent_world:
             incumbent_world = world_time
 
-    trace = sorted(entries.values(), key=lambda e: e.candidate.key)
-    return SearchOutcome(best=incumbent, default=entries[default.key],
-                         trace=trace, simulations=simulations,
-                         replays=replays, replay_aborts=replay_aborts,
-                         interpolated=interpolated, recorded=recorded,
-                         refusals=refusals)
+    out.best = incumbent
+    out.trace = sorted(entries.values(), key=lambda e: e.candidate.key)
+    return out

@@ -344,6 +344,7 @@ class TuningService(KernelEntryPoints):
                 "records": len(self.db),
                 "simulations": t.simulations,
                 "replays": t.replays,
+                "aliased": t.aliased,
                 "replay_aborts": t.replay_aborts,
                 "replay_refusals": dict(t.replay_refusals),
                 "replay_loads": t.replay_loads,

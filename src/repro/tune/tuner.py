@@ -146,6 +146,9 @@ class Tuner(KernelEntryPoints):
         self.simulations = 0
         #: Shortlist scorings served by graph replay instead of simulation.
         self.replays = 0
+        #: Shortlist entries that reused an equal-program entry's score
+        #: (:func:`repro.tune.search.schedule_key`): no simulator, no replay.
+        self.aliased = 0
         #: Replays cut short by the incumbent deadline (early abort).
         self.replay_aborts = 0
         #: Replays that fell back to simulation, counted by reason (the
@@ -218,6 +221,7 @@ class Tuner(KernelEntryPoints):
         with self._counter_lock:
             self.simulations += outcome.simulations
             self.replays += outcome.replays
+            self.aliased += outcome.aliased
             self.replay_aborts += outcome.replay_aborts
             self.replay_refusals.update(
                 reason.split(" (")[0] for reason in outcome.refusals.values())

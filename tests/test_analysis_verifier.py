@@ -161,6 +161,41 @@ def test_waitany_empty_raises_and_is_flagged_when_verifying():
     assert finding.site is not None and "rt_ra107.py" in finding.site
 
 
+@pytest.mark.parametrize("fixture,check", [
+    ("rt_ra101", "RA101"), ("rt_ra107", "RA107"), ("rt_ra106", "RA106")])
+def test_call_site_equals_the_traceback_derived_site(monkeypatch, fixture,
+                                                     check):
+    """The frame walk names the site ``traceback.extract_stack`` did: the
+    innermost frame outside the library, as ``file:line in name``."""
+    import sys
+    import traceback
+
+    from repro.analysis import findings, verifier
+
+    pairs = []
+
+    def both():
+        caller = sys._getframe(1)
+        site = findings.call_site(caller)
+        ref = next((f"{fs.filename.replace(chr(92), '/')}:{fs.lineno} in "
+                    f"{fs.name}"
+                    for fs in reversed(traceback.extract_stack(caller))
+                    if not any(d in fs.filename.replace(chr(92), "/")
+                               for d in findings._LIBRARY_DIRS)), None)
+        pairs.append((site, ref))
+        return site
+
+    monkeypatch.setattr(verifier, "call_site", both)
+    world = load_fixture(fixture).run()
+    assert pairs and all(site == ref for site, ref in pairs), pairs
+    # RA106 reports each stuck rank's waiting site (from on_wait_begin);
+    # its wait-for-cycle finding carries none.
+    sites = {f.site for f in world.verifier.findings
+             if f.check == check and f.site is not None}
+    assert sites and all(f"{fixture}.py" in site for site in sites), sites
+    assert sites <= {site for site, _ref in pairs}
+
+
 def test_waitany_empty_raises_without_any_verifier():
     gen = waitany([])
     with pytest.raises(ValueError, match="waitany needs at least one request"):

@@ -182,3 +182,82 @@ def test_hooks_do_not_change_real_mode_results(kernel):
         d = data["d"]
         assert np.allclose(plain.d2, d @ d)
         assert np.allclose(plain.d3, d @ d @ d)
+
+
+# ---------------------------------------------------------------------------
+# KernelSpec.population covers what a run posts
+# ---------------------------------------------------------------------------
+
+#: Small signatures per kernel, as (shape args, n): two- and three-rank
+#: communicators (binomial, ring and long schedules), non-divisible
+#: blocks, one- and three-layer 2.5D meshes.
+POPULATION_SIGS = {
+    "ssc": (((2,), 7), ((3,), 13)),
+    "ssc25d": (((2, 1), 30), ((3, 3), 12)),
+    "summa": (((3,), 30), ((4,), 17)),
+}
+
+
+def _verb(algorithm: str) -> str:
+    """The collective verb a plan algorithm implements."""
+    from repro.mpi.collectives.plan import SELECTORS
+
+    return max((v for v in SELECTORS
+                if algorithm == v or algorithm.startswith(v + "_")), key=len)
+
+
+@pytest.mark.parametrize("kernel", sorted(POPULATION_SIGS))
+def test_population_covers_every_posted_collective(kernel, monkeypatch):
+    """``KernelSpec.population`` is a superset of the collectives a run
+    posts, and each posts the algorithm its selector names under the
+    candidate's effective parameters — the two facts ``check_plans`` and
+    the tuner's schedule key rest on.  Every candidate runs with all three
+    collective overrides (at PPN 1: PPN moves ranks across nodes, never a
+    schedule), in real mode, whose ``(n_elems, itemsize)`` shapes
+    the population names, and modeled, which posts the same byte counts
+    as ``(nbytes, 1)``."""
+    from repro.kernels import run_kernel
+    from repro.mpi.collectives.plan import SELECTORS, PlanCache
+    from repro.netmodel import MachineParams
+    from repro.tune.candidates import effective_params
+    from repro.tune.signature import signature_for
+
+    assert sorted(POPULATION_SIGS) == sorted(KERNELS)
+    posted = []
+    get = PlanCache.get
+
+    def recording_get(self, algorithm, p, me, root=0, n_elems=0, itemsize=8):
+        posted.append((algorithm, p, root, n_elems, itemsize))
+        return get(self, algorithm, p, me, root, n_elems, itemsize)
+
+    monkeypatch.setattr(PlanCache, "get", recording_get)
+    spec = KERNELS[kernel]
+    machine = MachineParams(cores_per_node=1)
+    rng = np.random.default_rng(5)
+    collectives = set()
+    for shape, n in POPULATION_SIGS[kernel]:
+        m = rng.standard_normal((n, n))
+        data = (m, m.T.copy()) if kernel == "summa" else (m + m.T,)
+        sig = signature_for(kernel, spec.mesh_shape(*shape), n)
+        for cand in enumerate_candidates(sig, machine=machine):
+            collectives.add(cand.collective)
+            population = set(spec.population(cand, n))
+            in_bytes = {(v, size, root, ne * isz)
+                        for v, size, root, ne, isz in population}
+            eff = effective_params(cand)
+            for real in (True, False):
+                del posted[:]
+                run_kernel(spec, cand, n, data if real else (), params=eff,
+                           machine=machine)
+                assert posted, cand.key
+                for algorithm, size, root, n_elems, itemsize in set(posted):
+                    verb = _verb(algorithm)
+                    op = (verb, size, root, n_elems, itemsize)
+                    if real:
+                        assert op in population, (sig.key, cand.key, op)
+                    else:
+                        assert itemsize == 1, op
+                        assert op[:4] in in_bytes, (sig.key, cand.key, op)
+                    assert algorithm == SELECTORS[verb](
+                        size, n_elems, itemsize, eff), (cand.key, op)
+    assert collectives == {"auto", "binomial", "long"}

@@ -209,7 +209,12 @@ class TestSearchAndPolicies:
         sig = signature_for_ssc(2, 2)
         tuner = Tuner(policy="exhaustive")
         rec = tuner.tune(sig)
-        assert tuner.simulations == len(enumerate_candidates(sig))
+        # Every candidate is scored; on 2-rank communicators every
+        # collective is binomial, so the three overrides of each
+        # configuration are one program, simulated once.
+        assert (tuner.simulations, tuner.aliased) == (15, 30)
+        assert (tuner.simulations + tuner.aliased
+                == len(enumerate_candidates(sig)))
         assert all(e.status in ("simulated", "pruned-deadline")
                    for e in rec.trace)
 
@@ -284,10 +289,10 @@ class TestReplayBackend:
         assert out.replays == 0
         assert out.simulations == first.simulations
         assert all(rec.valid for rec in cache.values())
-        # ... and the outcome says why, per candidate.
-        scored = {e.candidate.key for e in first.trace
-                  if e.sim_time is not None or e.status == "pruned-deadline"}
-        assert set(out.refusals) == scored
+        # ... and the outcome says why, per recorded candidate (aliased
+        # entries reuse a twin's score and have no recording to refuse).
+        assert (first.simulations, first.aliased) == (3, 2)
+        assert set(out.refusals) == set(first.recorded)
         assert all(reason == "recording invalid: poisoned by test"
                    for reason in out.refusals.values())
         assert not first.refusals
@@ -347,6 +352,87 @@ class TestReplayBackend:
         # Later shortlist entries were pruned, not promoted.
         assert all(e.status in ("deadline-analytic", "pruned-deadline",
                                 "pruned-model") for e in out.trace)
+
+
+class TestScheduleAliasing:
+    """Shortlist entries that run one program are simulated once."""
+
+    #: (kernel, shape args, n): 2-, 3- and 4-rank communicators, where the
+    #: three collective overrides name one, two or three schedules.
+    GRID = (("ssc", (2,), 64), ("ssc", (3,), 1536), ("ssc", (4,), 1536),
+            ("ssc25d", (2, 2), 1536), ("ssc25d", (3, 3), 999),
+            ("summa", (4,), 512))
+
+    @pytest.mark.parametrize("replay", ["off", "on"])
+    def test_aliased_entries_score_as_their_own_simulation(self, replay,
+                                                           monkeypatch):
+        """Every aliased entry, simulated on its own under the deadline it
+        was scored under, gives the reused ``(kernel_time, world_time)``
+        bit for bit (or is pruned when the reused status says so).  Each
+        search is also seeded with all three overrides of the two
+        model-best configurations, so schedules that differ (``binomial``
+        vs ``auto`` at p=4, n=1536) meet in one shortlist."""
+        from dataclasses import replace
+
+        import repro.tune.search as search_mod
+        from repro.kernels import KERNELS
+        from repro.tune import simulate_candidate
+        from repro.tune.signature import signature_for
+
+        scored = []          # (candidate, deadline, reused) per entry
+        schedule_key, reuse = search_mod.schedule_key, search_mod._reuse
+
+        def keyed(sig, cand, params=None):
+            scored.append([cand])
+            return schedule_key(sig, cand, params)
+
+        def reused(prior, deadline):
+            out = reuse(prior, deadline)
+            scored[-1] += [deadline, out]
+            return out
+
+        monkeypatch.setattr(search_mod, "schedule_key", keyed)
+        monkeypatch.setattr(search_mod, "_reuse", reused)
+        base = NetworkParams()
+        aliased = 0
+        for kernel, shape, n in self.GRID:
+            sig = signature_for(kernel, KERNELS[kernel].mesh_shape(*shape), n)
+            cands = enumerate_candidates(sig)
+            default = paper_default_candidate(sig)
+            top = sorted(cands, key=lambda c: (search_mod.model_time(sig, c),
+                                               c.key))
+            configs = [default] + [c for c in top if c != default][:1]
+            seeds = [c for cfg in configs for c in cands
+                     if c == replace(cfg, collective=c.collective)]
+            searches = [(base, None), (base, seeds)]
+            if replay == "on":   # re-scored through the recorded graphs
+                searches.append((base.replace(alpha=1.5 * base.alpha), seeds))
+            cache: dict = {}
+            for params, seed in searches:
+                del scored[:]
+                out = search_mod.search(
+                    sig, cands, default, params=params, replay=replay,
+                    graph_cache=cache, seed_shortlist=seed,
+                    shortlist=len(seeds) + 1 if seed else 4)
+                # The hook saw every shortlist entry, in scoring order.
+                assert sum(r is not None for _c, _d, r in scored) \
+                    == out.aliased
+                aliased += out.aliased
+                for cand, deadline, hit in scored:
+                    if hit is None:
+                        continue
+                    try:
+                        got = simulate_candidate(sig, cand, params,
+                                                 deadline=deadline)
+                    except DeadlineExceeded:
+                        got = "pruned-deadline"
+                    status, kernel_time, world_time = hit
+                    want = (status if status == "pruned-deadline" else
+                            (kernel_time.hex(), world_time.hex()))
+                    if got != "pruned-deadline":
+                        got = tuple(t.hex() for t in got)
+                    assert got == want, (sig.key, cand.key, deadline)
+        assert aliased >= 2 * len(self.GRID)
 
 
 class TestKernelIntegration:

@@ -176,8 +176,8 @@ class TestServiceCoalescing:
 
         assert run_coalescing_stampede(64, 4) == {
             "threads": 64, "signatures": 4, "requests": 64, "searches": 4,
-            "coalesced": 60, "hits": 0, "simulations": 20, "records": 4,
-            "byte_identical": True,
+            "coalesced": 60, "hits": 0, "simulations": 12, "aliased": 8,
+            "records": 4, "byte_identical": True,
         }
 
     def test_warm_requests_hit_without_simulating(self):
